@@ -6,7 +6,8 @@
     clusterlab mutate --surface <...> --seq 8,9,10 --show 10
     clusterlab surface --genus g --print
 
-Exit code 0 iff all selected verification cases pass.
+`verify` exits 0 when every selected case passes, 1 when a case fails or
+is skipped, and 2 when a case errored (crashed) or the case name is unknown.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ def cmd_verify(args):
             if r.detail:
                 line += f"  {r.detail}"
             print(line)
+    if any(r.status == "error" for r in reports):
+        return 2
     return 0 if all(r.ok for r in reports) else 1
 
 

@@ -188,17 +188,6 @@ def _choose_drawing(spec, in_dir):
     raise SnakeError("no legal tile drawing (inconsistent glue constraints)")
 
 
-def _choose_band_start(spec, want_in_dir):
-    for name in _PREF:
-        _, pos, _ = _DRAWINGS[name]
-        if pos[spec.sin_slot] != ("S" if want_in_dir == "N" else "W"):
-            continue
-        if pos[spec.sout_slot] not in ("N", "E"):
-            continue
-        return name
-    raise SnakeError("no legal band start drawing")
-
-
 def _lay_out(specs, loop):
     """Choose drawings and grid positions for all tiles; returns
     (drawings, grids, glue_dirs) where glue_dirs[j] joins tile j to j+1
@@ -229,7 +218,7 @@ def _lay_out(specs, loop):
     # tile must produce; flipping the choice mirrors the whole layout.
     for want in ("E", "N"):
         try:
-            first = _choose_band_start(specs[0], want_in_dir=want)
+            first = _choose_drawing(specs[0], in_dir=want)
         except SnakeError:
             continue
         drawings, grids, dirs = walk_from(first)
@@ -422,39 +411,34 @@ class MatchingGraph:
         """All flip-reachable matchings from the minimal one, with their
         per-arc height vectors (y-exponents), deterministically ordered.
 
-        For small graphs every rediscovery is checked for height
-        consistency, which certifies that the parity rule for flip
-        directions is globally coherent on this graph.
+        Every rediscovery is checked for height consistency, which
+        certifies that the parity rule for flip directions is globally
+        coherent on this graph.
         """
         m0 = self.minimal_mask()
         zero = (0,) * self.n_arcs
-        check = len(self.tiles) <= 20
-        seen = {m0: zero} if check else {m0}
+        seen = {m0: zero}
         out = [(m0, zero)]
         frontier = [(m0, zero)]
+        arc_of = [t.diagonal - 1 for t in self.tiles]
         while frontier:
             nxt = []
             for mask, hv in frontier:
                 for jj, child, up in self.flips(mask):
-                    arc_i = self.tiles[jj].diagonal - 1
-                    if child in seen:
-                        if check:
-                            ch = list(hv)
-                            ch[arc_i] += 1 if up else -1
-                            if tuple(ch) != seen[child]:
-                                raise SnakeError("inconsistent flip heights")
-                        continue
+                    arc_i = arc_of[jj]
                     ch = list(hv)
                     ch[arc_i] += 1 if up else -1
+                    ch = tuple(ch)
+                    known = seen.get(child)
+                    if known is not None:
+                        if ch != known:
+                            raise SnakeError("inconsistent flip heights")
+                        continue
                     if ch[arc_i] < 0:
                         raise SnakeError(
                             "negative height: minimal matching is not minimal"
                         )
-                    ch = tuple(ch)
-                    if check:
-                        seen[child] = ch
-                    else:
-                        seen.add(child)
+                    seen[child] = ch
                     nxt.append((child, ch))
                     out.append((child, ch))
             frontier = nxt
@@ -468,6 +452,36 @@ class MatchingGraph:
 
     def _seed_mask(self):
         raise NotImplementedError
+
+    # -- debug dump ---------------------------------------------------------------
+
+    def to_debug_dict(self):
+        out = {
+            "kind": "snake" if self.wrap is None else "band",
+            "crossings": list(self.crossings),
+            "glue_dirs": list(self.glue_dirs),
+        }
+        if self.wrap is not None:
+            first_dir, last_dir = self.wrap
+            out["wrap"] = {
+                "first_tile_edge": first_dir,
+                "last_tile_edge": last_dir,
+                "label": str(self.edges[self.tile_edges[0][first_dir]].label),
+            }
+        out["tiles"] = [
+            {
+                "position": t.position,
+                "grid": list(t.grid),
+                "diagonal": t.diagonal,
+                "sign": t.sign,
+                "labels": {dr: str(s) for dr, s in t.labels},
+            }
+            for t in self.tiles
+        ]
+        return out
+
+    def to_debug_json(self):
+        return json.dumps(self.to_debug_dict(), indent=2)
 
     # -- weights ----------------------------------------------------------------
 
@@ -538,26 +552,6 @@ class SnakeGraph(MatchingGraph):
         s_edge = self.tile_edges[0]["S"]
         return a if a >> s_edge & 1 else b
 
-    def to_debug_dict(self):
-        return {
-            "kind": "snake",
-            "crossings": list(self.crossings),
-            "glue_dirs": list(self.glue_dirs),
-            "tiles": [
-                {
-                    "position": t.position,
-                    "grid": list(t.grid),
-                    "diagonal": t.diagonal,
-                    "sign": t.sign,
-                    "labels": {dr: str(s) for dr, s in t.labels},
-                }
-                for t in self.tiles
-            ],
-        }
-
-    def to_debug_json(self):
-        return json.dumps(self.to_debug_dict(), indent=2)
-
 
 class BandGraph(MatchingGraph):
     """Snake graph of one loop period with first and last tiles glued."""
@@ -567,10 +561,6 @@ class BandGraph(MatchingGraph):
         self.walk = tuple(walk)
         self.glue_dirs = tuple(glue_dirs)
         super().__init__(T.n_arcs, crossing, tiles, wrap=wrap)
-
-    @property
-    def base_tiles(self):
-        return self.tiles
 
     def _cut_graph(self):
         return MatchingGraphCut(self)
@@ -590,32 +580,6 @@ class BandGraph(MatchingGraph):
                 if self.is_perfect(candidate):
                     return candidate
         raise SnakeError("could not transport a minimal matching to the band")
-
-    def to_debug_dict(self):
-        first_dir, last_dir = self.wrap
-        return {
-            "kind": "band",
-            "crossings": list(self.crossings),
-            "glue_dirs": list(self.glue_dirs),
-            "wrap": {
-                "first_tile_edge": first_dir,
-                "last_tile_edge": last_dir,
-                "label": str(self.edges[self.tile_edges[0][first_dir]].label),
-            },
-            "tiles": [
-                {
-                    "position": t.position,
-                    "grid": list(t.grid),
-                    "diagonal": t.diagonal,
-                    "sign": t.sign,
-                    "labels": {dr: str(s) for dr, s in t.labels},
-                }
-                for t in self.tiles
-            ],
-        }
-
-    def to_debug_json(self):
-        return json.dumps(self.to_debug_dict(), indent=2)
 
 
 class MatchingGraphCut(MatchingGraph):

@@ -10,10 +10,9 @@ surface whose marked points are the corner orbits.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
-
-from .mutation import matrix_rank
 
 
 class SurfaceError(ValueError):
@@ -108,17 +107,23 @@ class Triangulation:
 
     # -- bookkeeping -------------------------------------------------------
 
-    def arc_slots(self):
-        """arc index -> list of (triangle index, position) slots."""
+    @functools.cached_property
+    def _slot_table(self):
+        """arc index -> tuple of (triangle index, position) slots, built once
+        (the triangles are immutable)."""
         slots = {}
         for t, tri in enumerate(self.triangles):
             for i, s in enumerate(tri):
                 if s.is_arc:
                     slots.setdefault(s.index, []).append((t, i))
-        return slots
+        return {a: tuple(v) for a, v in slots.items()}
+
+    def arc_slots(self):
+        """arc index -> list of (triangle index, position) slots."""
+        return {a: list(v) for a, v in self._slot_table.items()}
 
     def triangles_of_arc(self, a):
-        return [t for t, _ in self.arc_slots().get(a, [])]
+        return [t for t, _ in self._slot_table.get(a, ())]
 
     def corner_orbits(self):
         """Union-find over triangle corners under the arc gluings.
@@ -143,7 +148,7 @@ class Triangulation:
         for t, tri in enumerate(self.triangles):
             for k in range(3):
                 parent[(t, k)] = (t, k)
-        for slots in self.arc_slots().values():
+        for slots in self._slot_table.values():
             if len(slots) != 2:
                 continue
             (t, i), (u, j) = slots
@@ -255,13 +260,14 @@ class Triangulation:
     # -- crossing-sequence walks ----------------------------------------------
 
     def other_triangle(self, a, t):
-        tris = self.triangles_of_arc(a)
-        if len(tris) != 2:
+        slots = self._slot_table.get(a, ())
+        if len(slots) != 2:
             raise SurfaceError(f"arc {a} does not have two triangles")
-        if t == tris[0]:
-            return tris[1]
-        if t == tris[1]:
-            return tris[0]
+        (t0, _), (t1, _) = slots
+        if t == t0:
+            return t1
+        if t == t1:
+            return t0
         raise SurfaceError(f"triangle {t} not adjacent to arc {a}")
 
     def _has_arc(self, t, a):
@@ -414,26 +420,6 @@ def _genus_triangle_sets(g):
         tris.append([arc(d[2 * g - 3 - i]), arc(b[i]), arc(b[i + 1])])
     tris.append([boundary(1), arc(b[-1]), arc(a[-1])])
     return tris
-
-
-def _orientation_candidates(tri_sets, genus, n_arcs):
-    """All orientation assignments (one bit per triangle: keep or reverse the
-    listed cyclic order) that glue to a one-marked-point surface with an
-    exchange matrix of maximal rank, in deterministic order."""
-    out = []
-    m = len(tri_sets)
-    for mask in range(1 << m):
-        tris = tuple(
-            tuple(reversed(t)) if (mask >> i) & 1 else tuple(t)
-            for i, t in enumerate(tri_sets)
-        )
-        T = Triangulation(genus=genus, n_arcs=n_arcs, n_boundary=1, n_marked=1, triangles=tris)
-        if len(T.corner_orbits()) != 1:
-            continue
-        if matrix_rank(T.exchange_matrix()) != n_arcs:
-            continue
-        out.append(mask)
-    return out
 
 
 def _orientation_mask(g):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .algebra import LaurentPolynomial, chebyshev
 from .mutation import initial_seed, mutate, mutate_seq
-from .snake import build_band, build_snake, expand, expand_band, trim_to_band
+from .snake import _turn, build_band, build_snake, expand, expand_band, trim_to_band
 from .surface import (
     ArcCrossing,
     LoopCrossing,
@@ -29,7 +29,7 @@ from .surface import (
 @dataclass
 class CaseReport:
     name: str
-    status: str  # "pass" | "fail" | "skipped"
+    status: str  # "pass" | "fail" | "skipped" | "error" (the case crashed)
     detail: str = ""
     elapsed_ms: float = 0.0
 
@@ -61,6 +61,10 @@ class SkipCase(Exception):
     pass
 
 
+class CaseError(Exception):
+    """A case could not compute what its identity needs."""
+
+
 def _run(name, body):
     t0 = time.perf_counter()
     try:
@@ -70,6 +74,10 @@ def _run(name, body):
         status, detail = "skipped", str(exc)
     except _IdentityFailure as exc:
         status, detail = "fail", str(exc)
+    except CaseError as exc:
+        status, detail = "error", str(exc)
+    except Exception as exc:  # a crashed case is reported, never raised
+        status, detail = "error", f"{type(exc).__name__}: {exc}"
     return CaseReport(
         name, status, detail, elapsed_ms=(time.perf_counter() - t0) * 1000.0
     )
@@ -128,8 +136,10 @@ def _genus1_polys():
         polys = {k: expand(build_snake(T, ArcCrossing(v))) for k, v in GENUS1_ARCS.items()}
         polys["L"] = expand_band(build_band(T, T.boundary_loop()))
         polys["X1"] = expand_band(trim_to_band(s_v1))
-    except Exception as exc:  # pragma: no cover - fixture failure is a skip
-        raise SkipCase(f"genus-1 fixture construction failed: {exc}") from exc
+    except Exception as exc:
+        raise CaseError(
+            f"genus-1 fixture construction failed: {type(exc).__name__}: {exc}"
+        ) from exc
     return T, polys
 
 
@@ -143,7 +153,9 @@ def _genus2_polys():
         polys["X1"] = expand_band(trim_to_band(s_v1))
         polys["X2"] = expand_band(trim_to_band(s_v2))
     except Exception as exc:  # pragma: no cover
-        raise SkipCase(f"genus-2 fixture construction failed: {exc}") from exc
+        raise CaseError(
+            f"genus-2 fixture construction failed: {type(exc).__name__}: {exc}"
+        ) from exc
     return T, polys
 
 
@@ -162,7 +174,7 @@ def zigzag_v_arcs(g):
     def search(first):
         found = []
 
-        def rec(tri, seq):
+        def rec(tri, seq, turn):
             if len(seq) == length:
                 if tri == btri and seq[-1] == first:
                     S = build_snake(T, ArcCrossing(tuple(seq), start_triangle=btri))
@@ -171,12 +183,17 @@ def zigzag_v_arcs(g):
                         found.append(tuple(seq))
                 return
             for s in T.triangles[tri]:
-                if s.is_arc and s.index != seq[-1]:
-                    rec(T.other_triangle(s.index, tri), seq + [s.index])
+                if not s.is_arc or s.index == seq[-1]:
+                    continue
+                # Glue directions alternate exactly when each tile's glue slots
+                # are adjacent, i.e. when every triangle turns the same way.
+                t, _ = _turn(T.triangles[tri], seq[-1], s.index)
+                if turn is None or t == turn:
+                    rec(T.other_triangle(s.index, tri), seq + [s.index], t)
 
-        rec(T.other_triangle(first, btri), [first])
+        rec(T.other_triangle(first, btri), [first], None)
         if not found:
-            raise SkipCase(f"no zigzag arc of length {length} from arc {first}")
+            raise CaseError(f"no zigzag arc of length {length} from arc {first}")
         return ArcCrossing(min(found), start_triangle=btri)
 
     return T, search(4 * g), search(4 * g - 1)
@@ -396,12 +413,9 @@ def run_cases(names=None, seed=0):
     return reports
 
 
-def check_fuzz_with_seed(seed):  # pragma: no cover - CLI convenience
-    return check_fuzz(seed=seed)
-
-
 __all__ = [
     "CaseReport",
+    "CaseError",
     "BangleSpec",
     "check_eq1",
     "check_eq2",

@@ -5,6 +5,8 @@ difference (no tolerances); the stated runtime budgets are asserted."""
 import random
 import time
 
+import pytest
+
 from clusterlab.algebra import LaurentPolynomial as LP, SemifieldSpec, chebyshev, specialize, tropical_eval
 from clusterlab.mutation import initial_seed, matrix_rank, mutate, mutate_seq
 from clusterlab.snake import (
@@ -122,6 +124,14 @@ def test_criterion_6_genus3_identity():
     r = check_genusg(3)
     ok = r.status == "pass" and "Y = y" in r.detail
     _report(6, f"genus-3 V-identity with derived monomial ({r.detail})", ok, time.perf_counter() - t0, 300.0)
+
+
+@pytest.mark.parametrize("g", [4, 5, 6])
+def test_criterion_6_genusg_identity_scales(g):
+    t0 = time.perf_counter()
+    r = check_genusg(g)
+    ok = r.status == "pass" and "Y = y" in r.detail
+    _report(6, f"genus-{g} V-identity with derived monomial", ok, time.perf_counter() - t0, 5.0)
 
 
 def test_criterion_7_annulus_closed_form():

@@ -1,17 +1,30 @@
 import json
+from types import SimpleNamespace
 
+import pytest
+
+from clusterlab import verify
 from clusterlab.algebra import LaurentPolynomial as LP
 from clusterlab.cli import main as cli_main
-from clusterlab.snake import build_band, build_snake, expand, expand_band, trim_to_band
-from clusterlab.surface import ArcCrossing, builtin_genus1
+from clusterlab.snake import (
+    SnakeError,
+    build_band,
+    build_snake,
+    expand,
+    expand_band,
+    trim_to_band,
+)
+from clusterlab.surface import ArcCrossing, builtin_genus, builtin_genus1
 from clusterlab.verify import (
     GENUS1_ARCS,
     BangleSpec,
+    CaseError,
     bangle_product,
     check_eq1,
     check_fuzz,
     check_genusg,
     run_cases,
+    zigzag_v_arcs,
 )
 
 
@@ -253,3 +266,78 @@ def test_separation_formula_tropical_semifield():
         + yhat(1, 3) * x(1) * x(2)
     )
     assert (lhs2 - rhs2).is_zero()
+
+
+# -- the zigzag search -----------------------------------------------------------
+
+
+def _zigzag_v_arcs_exhaustive(g):
+    """Reference for zigzag_v_arcs: every crossing sequence of length 6g-2
+    from the boundary triangle, each closing one checked by building its
+    snake graph and requiring alternating glue directions."""
+    T = builtin_genus(g)
+    btri = next(
+        t for t, tri in enumerate(T.triangles) if any(not s.is_arc for s in tri)
+    )
+    length = 6 * g - 2
+
+    def search(first):
+        found = []
+
+        def rec(tri, seq):
+            if len(seq) == length:
+                if tri == btri and seq[-1] == first:
+                    S = build_snake(T, ArcCrossing(tuple(seq), start_triangle=btri))
+                    dirs = S.glue_dirs
+                    if all(dirs[i] != dirs[i + 1] for i in range(len(dirs) - 1)):
+                        found.append(tuple(seq))
+                return
+            for s in T.triangles[tri]:
+                if s.is_arc and s.index != seq[-1]:
+                    rec(T.other_triangle(s.index, tri), seq + [s.index])
+
+        rec(T.other_triangle(first, btri), [first])
+        return ArcCrossing(min(found), start_triangle=btri)
+
+    return T, search(4 * g), search(4 * g - 1)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_zigzag_search_equals_exhaustive_search(g):
+    assert zigzag_v_arcs(g) == _zigzag_v_arcs_exhaustive(g)
+
+
+def test_zigzag_search_without_a_zigzag_is_an_error(monkeypatch):
+    straight = SimpleNamespace(glue_dirs=("N", "N"))
+    monkeypatch.setattr(verify, "build_snake", lambda T, crossing: straight)
+    with pytest.raises(CaseError, match="no zigzag arc of length 10 from arc 8"):
+        zigzag_v_arcs.__wrapped__(2)
+
+
+# -- crashed cases ------------------------------------------------------------------
+
+
+def test_crashed_case_is_reported_as_error(monkeypatch, capsys):
+    def crash(g):
+        raise SnakeError("boom")
+
+    monkeypatch.setattr(verify, "zigzag_v_arcs", crash)
+    reports = run_cases()
+    assert [r.name for r in reports] == [
+        "eq1", "eq2", "genus2", "mutation_oracle", "genus3", "chebyshev2", "fuzz"
+    ]
+    status = {r.name: (r.status, r.detail) for r in reports}
+    assert status.pop("genus3") == ("error", "SnakeError: boom")
+    assert all(st == "pass" for st, _ in status.values())
+    assert cli_main(["verify", "all"]) == 2
+    assert "ERROR   genus3" in capsys.readouterr().out
+
+
+def test_fixture_construction_failure_is_an_error(monkeypatch):
+    def crash(T, loop, start_triangle=None):
+        raise SnakeError("boom")
+
+    monkeypatch.setattr(verify, "build_band", crash)
+    r = check_eq1()
+    assert r.status == "error"
+    assert r.detail == "genus-1 fixture construction failed: SnakeError: boom"
