@@ -12,6 +12,7 @@ from .algebra import (
     specialize,
     tropical_eval,
 )
+from .errors import ClusterlabError
 from .mutation import (
     Seed,
     find_mutation_sequence,

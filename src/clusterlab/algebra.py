@@ -15,15 +15,47 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from ._kernels import KERNEL_BACKEND, add_into, mul_terms
+from .errors import ClusterlabError
+
+# Recorded with benchmark runs; there is one arithmetic path, in pure Python.
+KERNEL_BACKEND = "python"
 
 
-class RankMismatch(ValueError):
+class RankMismatch(ClusterlabError):
     """Raised when combining polynomials over different variable ranks."""
 
 
 class NotDivisible(ArithmeticError):
     """Raised by div_exact when no exact quotient exists in the ring."""
+
+
+def _mul_terms(a, b):
+    """Distributive product of two term maps {exponent tuple: coeff}."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = {}
+    get = out.get
+    for kb, cb in b.items():
+        for ka, ca in a.items():
+            k = tuple(x + y for x, y in zip(ka, kb))
+            c = get(k, 0) + ca * cb
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+    return out
+
+
+def _add_into(out, b):
+    """In-place termwise sum: out += b, dropping zeros."""
+    get = out.get
+    for k, c in b.items():
+        nc = get(k, 0) + c
+        if nc:
+            out[k] = nc
+        else:
+            del out[k]
+    return out
 
 
 def _fmt_factors(symbol, exps):
@@ -139,7 +171,7 @@ class LaurentPolynomial:
             other = LaurentPolynomial.const(self.nx, self.ny, other)
         self._check_rank(other)
         out = dict(self.terms)
-        add_into(out, other.terms)
+        _add_into(out, other.terms)
         return LaurentPolynomial(self.nx, self.ny, out, _normalized=True)
 
     __radd__ = __add__
@@ -169,7 +201,7 @@ class LaurentPolynomial:
             )
         self._check_rank(other)
         return LaurentPolynomial(
-            self.nx, self.ny, mul_terms(self.terms, other.terms), _normalized=True
+            self.nx, self.ny, _mul_terms(self.terms, other.terms), _normalized=True
         )
 
     __rmul__ = __mul__

@@ -8,6 +8,7 @@
 
 `verify` exits 0 when every selected case passes, 1 when a case fails or
 is skipped, and 2 when a case errored (crashed) or the case name is unknown.
+Bad input to any command prints one line on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -17,9 +18,17 @@ import json
 import re
 import sys
 
+from .errors import ClusterlabError
 from .mutation import initial_seed, mutate_seq
 from .snake import build_band, build_snake, expand, expand_band
-from .surface import ArcCrossing, LoopCrossing, Triangulation, annulus_fixture, builtin_genus
+from .surface import (
+    ArcCrossing,
+    LoopCrossing,
+    SurfaceError,
+    Triangulation,
+    annulus_fixture,
+    builtin_genus,
+)
 from .verify import CASES, run_cases
 
 
@@ -30,12 +39,30 @@ def load_surface(spec):
         return builtin_genus(int(m.group(1)))
     if spec == "annulus":
         return annulus_fixture()
-    with open(spec) as fh:
-        return Triangulation.from_json(fh.read())
+    try:
+        with open(spec) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise SurfaceError(f"cannot read surface {spec!r}: {exc.strerror}") from exc
+    try:
+        T = Triangulation.from_json(text)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise SurfaceError(
+            f"malformed surface file {spec!r}: {type(exc).__name__}: {exc}"
+        ) from exc
+    problems = T.validate()
+    if problems:
+        raise SurfaceError(f"invalid surface {spec!r}: {'; '.join(problems)}")
+    return T
 
 
-def _int_list(text):
-    return tuple(int(t) for t in text.replace(" ", "").split(",") if t)
+def _int_list(text, option):
+    try:
+        return tuple(int(t) for t in text.replace(" ", "").split(",") if t)
+    except ValueError:
+        raise ClusterlabError(
+            f"{option} takes comma-separated integers, not {text!r}"
+        ) from None
 
 
 def cmd_verify(args):
@@ -60,7 +87,7 @@ def cmd_verify(args):
 
 def cmd_expand(args):
     T = load_surface(args.surface)
-    seq = _int_list(args.arc)
+    seq = _int_list(args.arc, "--arc")
     if args.loop:
         poly = expand_band(build_band(T, LoopCrossing(seq)), args.coeff)
     else:
@@ -74,7 +101,9 @@ def cmd_expand(args):
 
 def cmd_mutate(args):
     T = load_surface(args.surface)
-    seed = mutate_seq(initial_seed(T.exchange_matrix()), _int_list(args.seq))
+    if args.show is not None and not 1 <= args.show <= T.n_arcs:
+        raise ClusterlabError(f"--show {args.show} out of range 1..{T.n_arcs}")
+    seed = mutate_seq(initial_seed(T.exchange_matrix()), _int_list(args.seq, "--seq"))
     if args.show is not None:
         poly = seed.cluster[args.show - 1]
         print(poly.to_json() if args.json else poly.serialize())
@@ -127,7 +156,11 @@ def main(argv=None):
     p.set_defaults(fn=cmd_surface)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ClusterlabError as exc:
+        print(f"clusterlab: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

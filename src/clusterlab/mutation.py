@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import LaurentPolynomial, NotDivisible, TropicalMonomial
+from .errors import ClusterlabError
 
 
-class MutationError(ValueError):
+class MutationError(ClusterlabError):
     pass
 
 

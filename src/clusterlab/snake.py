@@ -35,10 +35,11 @@ import json
 from dataclasses import dataclass
 
 from .algebra import LaurentPolynomial
+from .errors import ClusterlabError
 from .surface import SideRef, SurfaceError
 
 
-class SnakeError(ValueError):
+class SnakeError(ClusterlabError):
     pass
 
 
@@ -596,9 +597,6 @@ class MatchingGraphCut(MatchingGraph):
                 seg_to_band[seg] = e.index
         self.band_edge = [seg_to_band[e.segments[0]] for e in self.edges]
 
-    def _seed_mask(self):  # pragma: no cover - not used
-        raise SnakeError("cut graphs are internal")
-
 
 def _make_tiles(specs, drawings, grids):
     tiles = []
@@ -631,20 +629,12 @@ def build_band(T, loop, start_triangle=None):
     seq = tuple(loop.cyclic_sequence)
     if len(seq) < 2:
         raise SnakeError("band graphs need at least two tiles")
-    starts = (
-        [start_triangle]
-        if start_triangle is not None
-        else [t for t in range(len(T.triangles)) if T._has_arc(t, seq[0])]
-    )
-    walk = None
-    for t0 in starts:
-        try:
-            walk = T.triangle_walk(seq, t0, loop=True)
-            break
-        except SurfaceError:
-            continue
-    if walk is None:
-        raise SnakeError(f"loop {seq} does not validate against the triangulation")
+    try:
+        walk = T.triangle_walk(seq, start_triangle, loop=True)
+    except SurfaceError as exc:
+        raise SnakeError(
+            f"loop {seq} does not validate against the triangulation"
+        ) from exc
     specs = _tile_specs(T, seq, walk, loop=True)
     drawings, grids, dirs = _lay_out(specs, loop=True)
     tiles = _make_tiles(specs, drawings, grids)

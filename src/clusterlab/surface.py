@@ -14,8 +14,10 @@ import functools
 import json
 from dataclasses import dataclass
 
+from .errors import ClusterlabError
 
-class SurfaceError(ValueError):
+
+class SurfaceError(ClusterlabError):
     pass
 
 
@@ -117,13 +119,6 @@ class Triangulation:
                 if s.is_arc:
                     slots.setdefault(s.index, []).append((t, i))
         return {a: tuple(v) for a, v in slots.items()}
-
-    def arc_slots(self):
-        """arc index -> list of (triangle index, position) slots."""
-        return {a: list(v) for a, v in self._slot_table.items()}
-
-    def triangles_of_arc(self, a):
-        return [t for t, _ in self._slot_table.get(a, ())]
 
     def corner_orbits(self):
         """Union-find over triangle corners under the arc gluings.
@@ -288,6 +283,10 @@ class Triangulation:
         if any(a == b for a, b in pairs):
             raise SurfaceError(
                 "consecutive crossings of the same arc would need a self-folded triangle"
+            )
+        if start_triangle is not None and not 0 <= start_triangle < len(self.triangles):
+            raise SurfaceError(
+                f"start triangle {start_triangle} out of range 0..{len(self.triangles) - 1}"
             )
         starts = (
             [start_triangle]

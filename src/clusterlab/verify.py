@@ -129,32 +129,24 @@ GENUS2_MUTATION_SEQUENCES = {"V1": (8, 9, 10, 2, 1, 9, 4, 6, 3), "V2": (7, 6, 5,
 ANNULUS_LOOP = (1, 2)
 
 
-def _genus1_polys():
-    T = builtin_genus1()
+# genus -> (fixture arcs, the arcs whose trimmed bands are X1, X2, ...)
+_FIXTURES = {1: (GENUS1_ARCS, ("V1",)), 2: (GENUS2_ARCS, ("V1", "V2"))}
+
+
+def _fixture_polys(g):
+    """Expansions of the genus-g fixture arcs, of the boundary loop L, and
+    of the trimmed bands X1, X2, ..."""
+    T = builtin_genus(g)
+    arcs, trimmed = _FIXTURES[g]
     try:
-        s_v1 = build_snake(T, ArcCrossing(GENUS1_ARCS["V1"]))
-        polys = {k: expand(build_snake(T, ArcCrossing(v))) for k, v in GENUS1_ARCS.items()}
+        snakes = {k: build_snake(T, ArcCrossing(v)) for k, v in arcs.items()}
+        polys = {k: expand(S) for k, S in snakes.items()}
         polys["L"] = expand_band(build_band(T, T.boundary_loop()))
-        polys["X1"] = expand_band(trim_to_band(s_v1))
+        for i, name in enumerate(trimmed, start=1):
+            polys[f"X{i}"] = expand_band(trim_to_band(snakes[name]))
     except Exception as exc:
         raise CaseError(
-            f"genus-1 fixture construction failed: {type(exc).__name__}: {exc}"
-        ) from exc
-    return T, polys
-
-
-def _genus2_polys():
-    T = builtin_genus2()
-    try:
-        s_v1 = build_snake(T, ArcCrossing(GENUS2_ARCS["V1"]))
-        s_v2 = build_snake(T, ArcCrossing(GENUS2_ARCS["V2"]))
-        polys = {k: expand(build_snake(T, ArcCrossing(v))) for k, v in GENUS2_ARCS.items()}
-        polys["L"] = expand_band(build_band(T, T.boundary_loop()))
-        polys["X1"] = expand_band(trim_to_band(s_v1))
-        polys["X2"] = expand_band(trim_to_band(s_v2))
-    except Exception as exc:  # pragma: no cover
-        raise CaseError(
-            f"genus-2 fixture construction failed: {type(exc).__name__}: {exc}"
+            f"genus-{g} fixture construction failed: {type(exc).__name__}: {exc}"
         ) from exc
     return T, polys
 
@@ -207,7 +199,7 @@ def check_eq1():
     with principal coefficients and under the trivial specialization."""
 
     def body():
-        T, p = _genus1_polys()
+        T, p = _fixture_polys(1)
         n = T.n_arcs
         rhs = p["L"] + _y(n, (3, 1)) * (
             (_y(n, (4, 1)) * p["X1"] + _x(3, n))
@@ -225,7 +217,7 @@ def check_eq2():
     """U1 U2 = y1 W1 + x3 + y4 X1 + y1y2y3y4 x4 + y1y3 x1x2 on genus 1."""
 
     def body():
-        T, p = _genus1_polys()
+        T, p = _fixture_polys(1)
         n = T.n_arcs
         rhs = (
             _y(n, (1, 1)) * p["W1"]
@@ -247,7 +239,7 @@ def check_genus2():
     fixtures, plus the y1-divisibility of the U residual."""
 
     def body():
-        T, p = _genus2_polys()
+        T, p = _fixture_polys(2)
         n = T.n_arcs
         Y = _y(n, (1, 1), (2, 1), (3, 1), (4, 1), (5, 2), (6, 1), (7, 1), (9, 1))
         rhs_v = p["L"] + _y(n, (7, 1)) * (
@@ -277,7 +269,7 @@ def check_mutation_oracle():
     arcs, exactly."""
 
     def body():
-        T, p = _genus2_polys()
+        T, p = _fixture_polys(2)
         s0 = initial_seed(T.exchange_matrix())
         for name in ("V1", "V2"):
             seq = GENUS2_MUTATION_SEQUENCES[name]

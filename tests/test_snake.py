@@ -85,6 +85,13 @@ def test_trim_to_band_preconditions():
         trim_to_band(build_snake(T, ArcCrossing((4, 2, 1))))
 
 
+@pytest.mark.parametrize("seq, start", [((1, 3), None), ((3, 4), None), ((1, 2), 2)])
+def test_build_band_rejects_invalid_loops(seq, start):
+    T = builtin_genus1()
+    with pytest.raises(SnakeError, match=r"does not validate against the triangulation"):
+        build_band(T, LoopCrossing(seq), start_triangle=start)
+
+
 def test_glue_labels_match_third_sides():
     # the shared edge of consecutive tiles carries the third side of the
     # triangle containing both diagonals

@@ -216,6 +216,45 @@ def test_cli_verify_unknown_case(capsys):
     assert "unknown case" in capsys.readouterr().err
 
 
+def test_typed_errors_share_one_base_class():
+    from clusterlab import ClusterlabError
+    from clusterlab.algebra import RankMismatch
+    from clusterlab.mutation import MutationError
+    from clusterlab.surface import SurfaceError
+
+    for cls in (SurfaceError, SnakeError, MutationError, RankMismatch):
+        assert issubclass(cls, ClusterlabError) and issubclass(cls, ValueError)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("expand --surface genus0 --arc 1", "genus must be >= 1"),
+        ("mutate --surface genus1 --seq 7", "mutation index 7 out of range 1..4"),
+        ("expand --surface missing.json --arc 1", "cannot read surface 'missing.json'"),
+        ("expand --surface genus1 --arc x", "--arc takes comma-separated integers"),
+        ("expand --surface genus1 --arc 1,1", "consecutive crossings of the same arc"),
+        ("mutate --surface genus1 --seq 1 --show 9", "--show 9 out of range 1..4"),
+        ("mutate --surface genus1 --seq 1 --show 0", "--show 0 out of range 1..4"),
+        ("expand --surface genus1 --arc 1 --start-triangle 9", "start triangle 9 out of range"),
+        ("expand --surface not-json.txt --arc 1", "malformed surface file 'not-json.txt'"),
+        ("mutate --surface invalid.json --seq 1", "invalid surface 'invalid.json': arc index A7"),
+        ("expand --surface genus1 --arc 1 --loop", "band graphs need at least two tiles"),
+    ],
+)
+def test_cli_bad_input_is_one_line_and_exit_2(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "not-json.txt").write_text("genus 1")
+    bad = json.loads(builtin_genus1().to_json())
+    bad["triangles"][0][2] = "A7"
+    (tmp_path / "invalid.json").write_text(json.dumps(bad))
+    assert cli_main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("clusterlab: error: ")
+    assert message in err
+
+
 def test_separation_formula_tropical_semifield():
     # evaluating the genus-1 quadrilateral identity in a nontrivial tropical
     # semifield: with hat(p) = specialize(p, s) and Fhat(p) the tropical
