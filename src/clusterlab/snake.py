@@ -24,19 +24,21 @@ vertical edges are matched.  A flip raises the tile's height by one when
 the matched pair consists of the sides {c2c3, c4c1} of the conceptual
 quadrilateral (the sides adjacent to the glue edges), and lowers it when
 it consists of {c1c2, c3c4}; the minimal matching is the unique
-flip-source, found by descending from any good matching.  The y-weight of
-a matching is the product of y_{i_j} over tiles counted with their
-heights.
+flip-source.  It is found by descending from a seed: the alternating
+matching of the boundary cycle through the first tile's incoming side,
+taken on the graph before a band's wrap is glued and carried across the
+glue.  The y-weight of a matching is the product of y_{i_j} over tiles
+counted with their heights.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import LaurentPolynomial
 from .errors import ClusterlabError
-from .surface import SideRef, SurfaceError
+from .surface import LoopCrossing, SideRef, SurfaceError
 
 
 class SnakeError(ClusterlabError):
@@ -70,6 +72,8 @@ class Tile:
     diagonal: int  # crossed arc index
     labels: tuple  # (("S", SideRef), ("E", ...), ("N", ...), ("W", ...))
     sign: int  # +1 orientation-preserving drawing, -1 reversed
+    diag_corners: tuple = field(compare=False, repr=False)  # corners on the diagonal
+    hor_is_a: bool = field(compare=False, repr=False)  # S, N carry sides {s12, s34}
 
     @property
     def edge_labels(self):
@@ -232,11 +236,15 @@ class MatchingGraph:
     """The labeled graph underlying a snake or band graph, with the tile
     structure needed for flip enumeration."""
 
-    def __init__(self, n_arcs, crossings, tiles, wrap=None):
-        self.n_arcs = n_arcs
+    def __init__(self, T, crossings, walk, tiles, glue_dirs, wrap=None):
+        self.triangulation = T
+        self.n_arcs = T.n_arcs
         self.crossings = tuple(crossings)
+        self.walk = tuple(walk)
         self.tiles = tiles  # list of Tile
+        self.glue_dirs = tuple(glue_dirs)
         self.wrap = wrap  # None or (first_dir, last_dir)
+        self._minimal = None
         self._build()
 
     # -- construction ------------------------------------------------------
@@ -246,22 +254,8 @@ class MatchingGraph:
         return (tile.grid[0] + ox, tile.grid[1] + oy)
 
     def _build(self):
-        # vertex union-find (identifications come only from the band wrap)
-        parent = {}
-
-        def find(x):
-            parent.setdefault(x, x)
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
         d = len(self.tiles)
+        glued = {}  # first-tile corner -> last-tile corner it is glued to
         seg_edge = {}
         edges = []
 
@@ -289,50 +283,48 @@ class MatchingGraph:
         for jj in range(d):
             tile_edges.append({dr: add_segment(jj, dr) for dr in "SENW"})
 
+        first_dir = "S" if self.wrap is None else self.wrap[0]
+        seed = _alternating_boundary_matching(edges, tile_edges[0][first_dir])
+
         if self.wrap is not None:
-            first_dir, last_dir = self.wrap
+            # Tiles step only north or east, so the last tile's N/E side is
+            # never the first tile's S/W side: the wrap always joins two edges.
+            last_dir = self.wrap[1]
             e_first = tile_edges[0][first_dir]
             e_last = tile_edges[d - 1][last_dir]
             if e_first.label != e_last.label:
                 raise SnakeError(
                     f"band wrap labels differ: {e_first.label} vs {e_last.label}"
                 )
-            if e_first is not e_last:
-                # match the corners touching the tiles' diagonals
-                def split(tile_idx, direction):
-                    tile = self.tiles[tile_idx]
-                    name = next(
-                        n for n in _EDGE_CORNERS[direction] if n in tile._diag_corners
-                    )
-                    other = next(
-                        n for n in _EDGE_CORNERS[direction] if n != name
-                    )
-                    return self._corner(tile, name), self._corner(tile, other)
 
-                dg1, ot1 = split(0, first_dir)
-                dg2, ot2 = split(d - 1, last_dir)
-                union(dg1, dg2)
-                union(ot1, ot2)
-                e_last.segments.extend(e_first.segments)
-                e_last.tiles.extend(e_first.tiles)
-                # drop e_first from the edge list
-                for seg in e_first.segments:
-                    seg_edge[seg] = e_last
-                edges.pop(e_first.index)
-                for i, e in enumerate(edges):
-                    e.index = i
-                tile_edges[0][first_dir] = e_last
+            # match the corners touching the tiles' diagonals
+            def split(tile_idx, direction):
+                tile = self.tiles[tile_idx]
+                name = next(
+                    n for n in _EDGE_CORNERS[direction] if n in tile.diag_corners
+                )
+                other = next(n for n in _EDGE_CORNERS[direction] if n != name)
+                return self._corner(tile, name), self._corner(tile, other)
+
+            glued = dict(zip(split(0, first_dir), split(d - 1, last_dir)))
+            e_last.segments.extend(e_first.segments)
+            e_last.tiles.extend(e_first.tiles)
+            edges.pop(e_first.index)
+            for i, e in enumerate(edges):
+                e.index = i
+            tile_edges[0][first_dir] = e_last
+            # The seed held e_first; its vertices are now e_last's, which
+            # the seed covers either by e_last itself or by its neighbours.
+            seed.discard(e_first)
 
         for e in edges:
-            vs = set()
-            for p1, p2 in e.segments:
-                vs.add(find(p1))
-                vs.add(find(p2))
+            vs = {glued.get(p, p) for seg in e.segments for p in seg}
             if len(vs) != 2:
                 raise SnakeError("degenerate edge after band identification")
             e.vertices = frozenset(vs)
 
         self.edges = edges
+        self._seed = sum(1 << e.index for e in seed)
         self.tile_edges = [
             {dr: e.index for dr, e in te.items()} for te in tile_edges
         ]
@@ -350,7 +342,7 @@ class MatchingGraph:
                 raise SnakeError("tile with identified sides is unsupported")
             self.hor_mask.append((1 << te["S"]) | (1 << te["N"]))
             self.ver_mask.append((1 << te["E"]) | (1 << te["W"]))
-            self.up_from_hor.append(not self.tiles[jj]._hor_is_a)
+            self.up_from_hor.append(not self.tiles[jj].hor_is_a)
 
         self.edge_weight = [
             e.label.index if e.label.is_arc else 0 for e in edges
@@ -377,9 +369,6 @@ class MatchingGraph:
             m ^= b
         return cover == (1 << len(self.vertices)) - 1
 
-    def boundary_edges(self):
-        return [e.index for e in self.edges if len(e.tiles) == 1]
-
     def flips(self, mask):
         """(tile index, flipped mask, up?) for every flippable tile.
 
@@ -397,14 +386,6 @@ class MatchingGraph:
             elif mask & v == v:
                 out.append((jj, mask ^ (h | v), not self.up_from_hor[jj]))
         return out
-
-    def descend_to_minimal(self, mask):
-        """Follow down-flips to the unique source of the flip order."""
-        while True:
-            down = [m for _, m, up in self.flips(mask) if not up]
-            if not down:
-                return mask
-            mask = down[0]
 
     # -- enumeration ----------------------------------------------------------
 
@@ -447,12 +428,19 @@ class MatchingGraph:
         return out
 
     def minimal_mask(self):
-        if not hasattr(self, "_minimal_mask"):
-            self._minimal_mask = self.descend_to_minimal(self._seed_mask())
-        return self._minimal_mask
-
-    def _seed_mask(self):
-        raise NotImplementedError
+        """The unique source of the flip order, reached from the seed by
+        down-flips."""
+        if self._minimal is None:
+            mask = self._seed
+            if not self.is_perfect(mask):
+                raise SnakeError("boundary seed is not a perfect matching")
+            while True:
+                down = next((m for _, m, up in self.flips(mask) if not up), None)
+                if down is None:
+                    break
+                mask = down
+            self._minimal = mask
+        return self._minimal
 
     # -- debug dump ---------------------------------------------------------------
 
@@ -510,92 +498,33 @@ class MatchingGraph:
         return mask
 
 
-def _alternating_boundary_matchings(graph):
-    """The two perfect matchings supported on the boundary cycle of an
-    open (snake-shaped) graph."""
-    boundary = graph.boundary_edges()
+def _alternating_boundary_matching(edges, start):
+    """Every other edge of the boundary cycle, starting with `start`, of a
+    graph whose edges still have one segment each (a band not yet glued)."""
     incident = {}
-    for i in boundary:
-        for v in graph.edges[i].vertices:
-            incident.setdefault(v, []).append(i)
-    if any(len(es) != 2 for es in incident.values()) or len(incident) != len(
-        graph.vertices
-    ):
+    for e in edges:
+        if len(e.tiles) == 1:
+            for p in e.segments[0]:
+                incident.setdefault(p, []).append(e)
+    if any(len(es) != 2 for es in incident.values()):
         raise SnakeError("boundary of the graph is not a single cycle")
-    start = boundary[0]
-    cycle = [start]
-    v = min(graph.edges[start].vertices)
+    cycle, v = [start], start.segments[0][0]
     while True:
-        nxt = [e for e in incident[v] if e != cycle[-1]]
-        e = nxt[0]
-        if e == start:
+        e = next(f for f in incident[v] if f is not cycle[-1])
+        if e is start:
             break
         cycle.append(e)
-        v = next(u for u in graph.edges[e].vertices if u != v)
-    if len(cycle) % 2:
-        raise SnakeError("odd boundary cycle")
-    a = sum(1 << e for e in cycle[0::2])
-    b = sum(1 << e for e in cycle[1::2])
-    return a, b
+        p, q = e.segments[0]
+        v = q if p == v else p
+    return set(cycle[0::2])
 
 
 class SnakeGraph(MatchingGraph):
     """Ordered tiles of an arc's crossing sequence, glued north or east."""
 
-    def __init__(self, T, crossing, walk, tiles, glue_dirs):
-        self.triangulation = T
-        self.walk = tuple(walk)
-        self.glue_dirs = tuple(glue_dirs)
-        super().__init__(T.n_arcs, crossing, tiles, wrap=None)
-
-    def _seed_mask(self):
-        a, b = _alternating_boundary_matchings(self)
-        s_edge = self.tile_edges[0]["S"]
-        return a if a >> s_edge & 1 else b
-
 
 class BandGraph(MatchingGraph):
     """Snake graph of one loop period with first and last tiles glued."""
-
-    def __init__(self, T, crossing, walk, tiles, glue_dirs, wrap):
-        self.triangulation = T
-        self.walk = tuple(walk)
-        self.glue_dirs = tuple(glue_dirs)
-        super().__init__(T.n_arcs, crossing, tiles, wrap=wrap)
-
-    def _cut_graph(self):
-        return MatchingGraphCut(self)
-
-    def _seed_mask(self):
-        cut = self._cut_graph()
-        alt_a, alt_b = _alternating_boundary_matchings(cut)
-        s_edge = cut.tile_edges[0]["S"]
-        order = (alt_a, alt_b) if alt_a >> s_edge & 1 else (alt_b, alt_a)
-        wrap_idx = self.tile_edges[0][self.wrap[0]]
-        for cut_mask in order:
-            image = 0
-            for i in range(len(cut.edges)):
-                if cut_mask >> i & 1:
-                    image |= 1 << cut.band_edge[i]
-            for candidate in (image, image & ~(1 << wrap_idx)):
-                if self.is_perfect(candidate):
-                    return candidate
-        raise SnakeError("could not transport a minimal matching to the band")
-
-
-class MatchingGraphCut(MatchingGraph):
-    """The band graph with its wrap identification cut open (used only to
-    seed the flip closure)."""
-
-    def __init__(self, band):
-        self.band = band
-        super().__init__(band.n_arcs, band.crossings, band.tiles, wrap=None)
-        # map cut edges to band edges via shared geometric segments
-        seg_to_band = {}
-        for e in band.edges:
-            for seg in e.segments:
-                seg_to_band[seg] = e.index
-        self.band_edge = [seg_to_band[e.segments[0]] for e in self.edges]
 
 
 def _make_tiles(specs, drawings, grids):
@@ -604,13 +533,17 @@ def _make_tiles(specs, drawings, grids):
         sign, pos, diag_corners = _DRAWINGS[name]
         slot_at = {p: s for s, p in pos.items()}
         labels = tuple((dr, spec.slots[slot_at[dr]]) for dr in "SENW")
-        tile = Tile(
-            position=j + 1, grid=grid, diagonal=spec.diag, labels=labels, sign=sign
+        tiles.append(
+            Tile(
+                position=j + 1,
+                grid=grid,
+                diagonal=spec.diag,
+                labels=labels,
+                sign=sign,
+                diag_corners=diag_corners,
+                hor_is_a={pos["s12"], pos["s34"]} == {"S", "N"},
+            )
         )
-        object.__setattr__(tile, "_diag_corners", diag_corners)
-        # does the horizontal edge pair carry the conceptual sides {s12, s34}?
-        object.__setattr__(tile, "_hor_is_a", {pos["s12"], pos["s34"]} == {"S", "N"})
-        tiles.append(tile)
     return tiles
 
 
@@ -651,8 +584,6 @@ def trim_to_band(S):
         raise SnakeError("trimming needs at least three tiles")
     if seq[0] != seq[-1]:
         raise SnakeError("first and last diagonals differ; trimmed ends cannot glue")
-    from .surface import LoopCrossing
-
     inner = seq[1:-1]
     lc = LoopCrossing(inner)
     # canonical rotation may shift the sequence; shift the start triangle too

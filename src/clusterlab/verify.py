@@ -29,7 +29,7 @@ from .surface import (
 @dataclass
 class CaseReport:
     name: str
-    status: str  # "pass" | "fail" | "skipped" | "error" (the case crashed)
+    status: str  # "pass" | "fail" | "error" (the case crashed or cannot run)
     detail: str = ""
     elapsed_ms: float = 0.0
 
@@ -57,10 +57,6 @@ class BangleSpec:
             raise ValueError("bangle product needs at least one component")
 
 
-class SkipCase(Exception):
-    pass
-
-
 class CaseError(Exception):
     """A case could not compute what its identity needs."""
 
@@ -70,8 +66,6 @@ def _run(name, body):
     try:
         detail = body() or ""
         status = "pass"
-    except SkipCase as exc:
-        status, detail = "skipped", str(exc)
     except _IdentityFailure as exc:
         status, detail = "fail", str(exc)
     except CaseError as exc:
@@ -286,7 +280,7 @@ def check_genusg(g=3):
 
     def body():
         if g < 2:
-            raise SkipCase("genus-g identity needs g >= 2")
+            raise CaseError("genus-g identity needs g >= 2")
         T, v1_arc, v2_arc = zigzag_v_arcs(g)
         n = T.n_arcs
         s1 = build_snake(T, v1_arc)

@@ -19,6 +19,7 @@ from clusterlab.surface import (
     ArcCrossing,
     LoopCrossing,
     annulus_fixture,
+    builtin_genus,
     builtin_genus1,
     builtin_genus2,
 )
@@ -38,12 +39,18 @@ def fixture_snakes():
 
 def fixture_bands():
     T1, T2, A = builtin_genus1(), builtin_genus2(), annulus_fixture()
+    T3 = builtin_genus(3)
     return [
         build_band(A, LoopCrossing((1, 2))),
+        build_band(A, LoopCrossing((1, 2)).repeated(2)),
+        build_band(A, LoopCrossing((1, 2)).repeated(3)),
         trim_to_band(build_snake(T1, ArcCrossing((4, 2, 1, 4)))),
         build_band(T1, T1.boundary_loop()),
+        build_band(T1, T1.boundary_loop().repeated(2)),
+        build_band(T1, T1.boundary_loop().repeated(3)),
         trim_to_band(build_snake(T2, ArcCrossing((8, 9, 10, 2, 1, 10, 4, 6, 3, 8)))),
         build_band(T2, T2.boundary_loop()),
+        build_band(T3, T3.boundary_loop()),
     ]
 
 

@@ -20,6 +20,7 @@ from clusterlab.verify import (
     BangleSpec,
     CaseError,
     bangle_product,
+    check_chebyshev,
     check_eq1,
     check_fuzz,
     check_genusg,
@@ -90,6 +91,17 @@ def test_genusg_reproduces_genus2():
     r = check_genusg(2)
     assert r.status == "pass"
     assert "y5^2" in r.detail  # the genus-2 coefficient monomial, found by solving
+
+
+def test_genusg_below_genus_2_is_an_error():
+    r = check_genusg(1)
+    assert (r.status, r.detail) == ("error", "genus-g identity needs g >= 2")
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_chebyshev_bracelets(k):
+    r = check_chebyshev(k)
+    assert (r.name, r.status) == (f"chebyshev{k}", "pass"), r.detail
 
 
 def test_fuzz_deterministic_reports():
@@ -240,6 +252,11 @@ def test_typed_errors_share_one_base_class():
         ("expand --surface not-json.txt --arc 1", "malformed surface file 'not-json.txt'"),
         ("mutate --surface invalid.json --seq 1", "invalid surface 'invalid.json': arc index A7"),
         ("expand --surface genus1 --arc 1 --loop", "band graphs need at least two tiles"),
+        (
+            "expand --surface genus1 --arc 2,1 --loop --start-triangle 7",
+            "--start-triangle applies to arcs, not to --loop",
+        ),
+        ("surface --genus 0", "genus must be >= 1"),
     ],
 )
 def test_cli_bad_input_is_one_line_and_exit_2(argv, message, tmp_path, monkeypatch, capsys):

@@ -11,12 +11,13 @@ prefixes.  The result is unique and frozen in clusterlab.verify; rerun with
 
     python tools/derive_fixtures.py
 
-to confirm (takes a minute or two).
+to confirm (about two and a half minutes).
 """
 
 import time
 
-from clusterlab.algebra import LaurentPolynomial as LP
+from clusterlab.algebra import LaurentPolynomial as LP, NotDivisible
+from clusterlab.errors import ClusterlabError
 from clusterlab.snake import build_snake, expand, expand_band, trim_to_band
 from clusterlab.surface import ArcCrossing, builtin_genus2
 from clusterlab.verify import GENUS2_ARCS
@@ -50,7 +51,7 @@ def main():
     def consider(seq, tri0):
         try:
             e = expand(build_snake(T, ArcCrossing(seq, start_triangle=tri0)))
-        except Exception:
+        except ClusterlabError:  # a walk clusterlab rejects is no candidate
             return
         if e in seen:
             return
@@ -90,7 +91,7 @@ def main():
                 continue
             try:
                 w2 = rem2.div_exact(pre2)
-            except Exception:
+            except NotDivisible:
                 continue
             if w2 in seen:
                 solutions.append((s1, cands_w2.get(w2), s3))
