@@ -2,9 +2,25 @@
 
 Polynomials live in ZZ[x1^±1, ..., xn^±1; y1, ..., ym]: Laurent in the
 x-variables, ordinary (but we do not enforce nonnegativity structurally) in
-the coefficient variables y.  A term is stored as a flat exponent tuple of
-length nx + ny mapped to a nonzero integer coefficient, so equal polynomials
-have identical dictionaries and identical canonical serializations.
+the coefficient variables y.
+
+Term storage.  A term's exponent vector (the nx x-exponents, then the ny
+y-exponents) is packed into one integer key: exponent e_i sits in a 32-bit
+field as e_i + 2^31, with x1 in the most significant field.  Integer order
+on keys is then lexicographic order on exponent vectors, the key of a
+product of two monomials is ka + kb - zero (zero is the key of the zero
+vector), and a shift by a fixed monomial adds one integer.  `terms` maps
+keys to nonzero integer coefficients, so equal polynomials have identical
+dictionaries and identical canonical serializations.
+
+A field must never carry into its neighbour.  Every polynomial keeps a bound
+on the magnitude of its exponents: a product adds the bounds of its factors,
+a sum takes their maximum, and an operation whose bound would pass
+EXPONENT_LIMIT = 2^31 - 1 raises ExponentOverflow.  Long division also keeps
+each quotient term inside the box that an exact quotient must lie in, which
+bounds every remainder key.  Exponent tuples appear only at the boundary:
+the constructor, `monomial`, `parse`, `from_json`, `serialize`,
+`to_json_dict`, `sorted_keys` and `exponent_items`.
 
 All values are immutable after construction; every operation returns a fresh
 polynomial, so instances are safe to share between threads.
@@ -13,6 +29,7 @@ polynomial, so instances are safe to share between threads.
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import dataclass
 
 from .errors import ClusterlabError
@@ -20,24 +37,83 @@ from .errors import ClusterlabError
 # Recorded with benchmark runs; there is one arithmetic path, in pure Python.
 KERNEL_BACKEND = "python"
 
+_BIAS = 1 << 31
+EXPONENT_LIMIT = _BIAS - 1
+
 
 class RankMismatch(ClusterlabError):
     """Raised when combining polynomials over different variable ranks."""
+
+
+class ExponentOverflow(ClusterlabError):
+    """Raised when an exponent could leave its packed field, i.e. pass
+    EXPONENT_LIMIT in magnitude."""
 
 
 class NotDivisible(ArithmeticError):
     """Raised by div_exact when no exact quotient exists in the ring."""
 
 
-def _mul_terms(a, b):
-    """Distributive product of two term maps {exponent tuple: coeff}."""
+class TermCodec:
+    """Packs exponent vectors of length n into integer keys and back."""
+
+    __slots__ = ("struct", "size", "zero")
+
+    def __init__(self, n):
+        self.struct = struct.Struct(f">{n}I")
+        self.size = 4 * n
+        self.zero = self.raw([_BIAS] * n)
+
+    def raw(self, digits):
+        """The key whose fields hold `digits` as given, with no bias added;
+        struct.error if a digit is outside [0, 2^32)."""
+        return int.from_bytes(self.struct.pack(*digits), "big")
+
+    def digits(self, key):
+        """The field values e_i + 2^31 of a key."""
+        return self.struct.unpack(key.to_bytes(self.size, "big"))
+
+    def pack(self, exps):
+        """The key of an exponent vector; callers check EXPONENT_LIMIT."""
+        return self.raw([e + _BIAS for e in exps])
+
+    def unpack(self, key):
+        return tuple([d - _BIAS for d in self.digits(key)])
+
+
+_CODECS = {}
+
+
+def term_codec(n):
+    """The codec for exponent vectors of length n, built on first use."""
+    codec = _CODECS.get(n)
+    if codec is None:
+        codec = _CODECS[n] = TermCodec(n)
+    return codec
+
+
+def _checked(bound):
+    if bound > EXPONENT_LIMIT:
+        raise ExponentOverflow(f"exponents may pass ±{EXPONENT_LIMIT}")
+    return bound
+
+
+def _mul_terms(a, b, zero):
+    """Distributive product of two term maps {packed key: coeff}."""
     if len(a) < len(b):
         a, b = b, a
+    if len(b) == 1:
+        ((kb, cb),) = b.items()
+        d = kb - zero
+        if cb == 1:
+            return {ka + d: ca for ka, ca in a.items()}
+        return {ka + d: ca * cb for ka, ca in a.items()}
     out = {}
     get = out.get
     for kb, cb in b.items():
+        d = kb - zero
         for ka, ca in a.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
+            k = ka + d
             c = get(k, 0) + ca * cb
             if c:
                 out[k] = c
@@ -70,18 +146,39 @@ def _fmt_factors(symbol, exps):
     return out
 
 
+def _new(nx, ny, terms, bound):
+    """A polynomial from packed terms without zero coefficients and a bound
+    on its exponents, which the caller has checked."""
+    p = object.__new__(LaurentPolynomial)
+    p.nx = nx
+    p.ny = ny
+    p.terms = terms
+    p._bound = bound
+    p._hash = None
+    return p
+
+
 class LaurentPolynomial:
     """A sparse integer Laurent polynomial in x-variables and y-variables."""
 
-    __slots__ = ("nx", "ny", "terms", "_hash")
+    __slots__ = ("nx", "ny", "terms", "_bound", "_hash")
 
-    def __init__(self, nx, ny, terms, _normalized=False):
+    def __init__(self, nx, ny, terms):
+        """`terms` maps exponent tuples of length nx + ny to coefficients."""
+        codec = term_codec(nx + ny)
+        packed = {}
+        bound = 0
+        for exps, c in terms.items():
+            if not c:
+                continue
+            if len(exps) != nx + ny:
+                raise RankMismatch(f"exponent vector {exps} is not of length {nx + ny}")
+            bound = max(bound, _checked(max(map(abs, exps), default=0)))
+            packed[codec.pack(exps)] = c
         self.nx = nx
         self.ny = ny
-        if _normalized:
-            self.terms = terms
-        else:
-            self.terms = {k: c for k, c in terms.items() if c != 0}
+        self.terms = packed
+        self._bound = bound
         self._hash = None
 
     # -- constructors -----------------------------------------------------
@@ -89,7 +186,7 @@ class LaurentPolynomial:
     @classmethod
     def zero(cls, nx, ny=None):
         ny = nx if ny is None else ny
-        return cls(nx, ny, {}, _normalized=True)
+        return _new(nx, ny, {}, 0)
 
     @classmethod
     def monomial(cls, nx, ny, coeff, x_exps=(), y_exps=()):
@@ -97,9 +194,18 @@ class LaurentPolynomial:
         y = tuple(y_exps) + (0,) * (ny - len(y_exps))
         if len(x) != nx or len(y) != ny:
             raise RankMismatch("exponent vector longer than rank")
-        if coeff == 0:
+        if not coeff:
             return cls.zero(nx, ny)
-        return cls(nx, ny, {x + y: coeff}, _normalized=True)
+        exps = x + y
+        bound = _checked(max(map(abs, exps), default=0))
+        return _new(nx, ny, {term_codec(nx + ny).pack(exps): coeff}, bound)
+
+    @classmethod
+    def from_packed(cls, nx, ny, terms, bound):
+        """A polynomial from a map {packed key: nonzero coeff}, with keys made
+        by term_codec(nx + ny), and a bound on the magnitude of every
+        exponent that the caller guarantees."""
+        return _new(nx, ny, terms, _checked(bound))
 
     @classmethod
     def const(cls, nx, ny, c):
@@ -132,31 +238,40 @@ class LaurentPolynomial:
 
     # -- basic structure ---------------------------------------------------
 
+    def _codec(self):
+        return term_codec(self.nx + self.ny)
+
     def is_zero(self):
         return not self.terms
 
     def is_one(self):
-        return self.terms == {(0,) * (self.nx + self.ny): 1}
+        return self.terms == {self._codec().zero: 1}
 
     def is_monomial(self):
         return len(self.terms) == 1
 
-    def x_part(self, key):
-        return key[: self.nx]
+    def x_part(self, exps):
+        return exps[: self.nx]
 
-    def y_part(self, key):
-        return key[self.nx :]
+    def y_part(self, exps):
+        return exps[self.nx :]
 
     def constant_term(self):
-        return self.terms.get((0,) * (self.nx + self.ny), 0)
+        return self.terms.get(self._codec().zero, 0)
 
     def coefficients_positive(self):
         return all(c > 0 for c in self.terms.values())
 
+    def exponent_items(self):
+        """(exponent tuple, coeff) for every term."""
+        unpack = self._codec().unpack
+        for k, c in self.terms.items():
+            yield unpack(k), c
+
     def sorted_keys(self):
-        """Canonical term order: lexicographic on the flat exponent tuple,
-        largest first."""
-        return sorted(self.terms, reverse=True)
+        """Exponent tuples in canonical term order: lexicographic, largest
+        first."""
+        return [k for k, _ in self._sorted_items()]
 
     def _check_rank(self, other):
         if self.nx != other.nx or self.ny != other.ny:
@@ -172,14 +287,12 @@ class LaurentPolynomial:
         self._check_rank(other)
         out = dict(self.terms)
         _add_into(out, other.terms)
-        return LaurentPolynomial(self.nx, self.ny, out, _normalized=True)
+        return _new(self.nx, self.ny, out, max(self._bound, other._bound))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPolynomial(
-            self.nx, self.ny, {k: -c for k, c in self.terms.items()}, _normalized=True
-        )
+        return _new(self.nx, self.ny, {k: -c for k, c in self.terms.items()}, self._bound)
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -193,30 +306,28 @@ class LaurentPolynomial:
         if isinstance(other, int):
             if other == 0:
                 return LaurentPolynomial.zero(self.nx, self.ny)
-            return LaurentPolynomial(
-                self.nx,
-                self.ny,
-                {k: other * c for k, c in self.terms.items()},
-                _normalized=True,
+            return _new(
+                self.nx, self.ny, {k: other * c for k, c in self.terms.items()}, self._bound
             )
         self._check_rank(other)
-        return LaurentPolynomial(
-            self.nx, self.ny, _mul_terms(self.terms, other.terms), _normalized=True
-        )
+        bound = _checked(self._bound + other._bound)
+        terms = _mul_terms(self.terms, other.terms, self._codec().zero)
+        return _new(self.nx, self.ny, terms, bound)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = LaurentPolynomial.one(self.nx, self.ny)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        return LaurentPolynomial.one(self.nx, self.ny) if result is None else result
 
     def __eq__(self, other):
         return (
@@ -235,36 +346,21 @@ class LaurentPolynomial:
 
     # -- exact division ----------------------------------------------------
 
-    def _min_exps(self):
-        n = self.nx + self.ny
-        mins = [0] * n
-        first = True
-        for k in self.terms:
-            if first:
-                mins = list(k)
-                first = False
-            else:
-                for i, e in enumerate(k):
-                    if e < mins[i]:
-                        mins[i] = e
-        return tuple(mins)
-
     def _shift(self, offset):
-        off = tuple(offset)
-        return LaurentPolynomial(
-            self.nx,
-            self.ny,
-            {tuple(a + b for a, b in zip(k, off)): c for k, c in self.terms.items()},
-            _normalized=True,
-        )
+        """Multiply by the monomial with exponent vector `offset`."""
+        codec = self._codec()
+        bound = _checked(self._bound + max(map(abs, offset), default=0))
+        off = codec.pack(offset) - codec.zero
+        return _new(self.nx, self.ny, {k + off: c for k, c in self.terms.items()}, bound)
 
     def div_exact(self, other):
         """Exact quotient self / other in the integer Laurent ring.
 
         Raises NotDivisible when no exact quotient exists.  The algorithm
-        shifts both operands to honest polynomials (minimal exponent 0 in
-        every variable) and runs leading-term division in lex order, which
-        terminates and certifies exactness over ZZ.
+        runs leading-term division in lex order.  An exact quotient has, in
+        every variable, exponents from min(self) - min(other) to
+        max(self) - max(other); a quotient term outside that box ends the
+        division, so it terminates and certifies exactness over ZZ.
         """
         if isinstance(other, int):
             other = LaurentPolynomial.const(self.nx, self.ny, other)
@@ -273,71 +369,91 @@ class LaurentPolynomial:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return self
-        if other.is_monomial():
+        bound = _checked(self._bound + other._bound)
+        codec = self._codec()
+        zero = codec.zero
+        if len(other.terms) == 1:
             ((key, coeff),) = other.terms.items()
-            out = {}
-            for k, c in self.terms.items():
-                q, r = divmod(c, coeff)
-                if r != 0:
-                    raise NotDivisible("coefficient not divisible")
-                out[tuple(a - b for a, b in zip(k, key))] = q
-            return LaurentPolynomial(self.nx, self.ny, out, _normalized=True)
+            off = zero - key
+            if coeff == 1:
+                out = {k + off: c for k, c in self.terms.items()}
+            else:
+                out = {}
+                for k, c in self.terms.items():
+                    q, r = divmod(c, coeff)
+                    if r != 0:
+                        raise NotDivisible("coefficient not divisible")
+                    out[k + off] = q
+            return _new(self.nx, self.ny, out, bound)
 
-        smin = self._min_exps()
-        omin = other._min_exps()
-        p = self._shift(tuple(-e for e in smin))
-        q = other._shift(tuple(-e for e in omin))
-
-        rem = dict(p.terms)
-        qlead = max(q.terms)
-        qlead_c = q.terms[qlead]
+        pcols = list(zip(*map(codec.digits, self.terms)))
+        qcols = list(zip(*map(codec.digits, other.terms)))
+        pmin, pmax = list(map(min, pcols)), list(map(max, pcols))
+        qmin, qmax = list(map(min, qcols)), list(map(max, qcols))
+        lo = [a - b for a, b in zip(pmin, qmin)]
+        hi = [a - b for a, b in zip(pmax, qmax)]
+        if any(a > b for a, b in zip(lo, hi)):
+            raise NotDivisible("no exact quotient")
+        if max(b - a for a, b in zip(pmin, pmax)) > EXPONENT_LIMIT:
+            raise ExponentOverflow(f"exponent span beyond {EXPONENT_LIMIT}")
+        # t lies in the box [lo, hi] iff the bias bit of every field is set
+        # in both t - low and top - t.  The check also keeps every remainder
+        # key inside the box of the dividend, so no field can carry.
+        low = codec.pack(lo) - zero
+        top = codec.pack(hi) + zero
+        rem = dict(self.terms)
+        q = list(other.terms.items())
+        qlead, qlead_c = max(q)
+        to_t = zero - qlead
         quot = {}
         while rem:
             rlead = max(rem)
-            t = tuple(a - b for a, b in zip(rlead, qlead))
-            if any(e < 0 for e in t):
+            t = rlead + to_t
+            if (t - low) & (top - t) & zero != zero:
                 raise NotDivisible("no exact quotient")
             c, r = divmod(rem[rlead], qlead_c)
             if r != 0:
                 raise NotDivisible("leading coefficient not divisible")
             quot[t] = c
-            for k, qc in q.terms.items():
-                kk = tuple(a + b for a, b in zip(t, k))
+            d = t - zero
+            for k, qc in q:
+                kk = k + d
                 nc = rem.get(kk, 0) - c * qc
                 if nc:
                     rem[kk] = nc
                 else:
-                    rem.pop(kk, None)
-        result = LaurentPolynomial(self.nx, self.ny, quot, _normalized=True)
-        shift = tuple(a - b for a, b in zip(smin, omin))
-        return result._shift(shift)
+                    del rem[kk]
+        return _new(self.nx, self.ny, quot, max(map(abs, lo + hi)))
 
     # -- specializations ---------------------------------------------------
 
     def f_polynomial(self):
         """Set every x-variable to 1; the result involves only y-variables."""
+        low = 32 * self.ny
+        ymask = (1 << low) - 1
+        xzero = self._codec().zero >> low << low
         out = {}
-        zero_x = (0,) * self.nx
         for k, c in self.terms.items():
-            kk = zero_x + self.y_part(k)
+            kk = k & ymask | xzero
             nc = out.get(kk, 0) + c
             if nc:
                 out[kk] = nc
             else:
-                out.pop(kk, None)
-        return LaurentPolynomial(self.nx, self.ny, out, _normalized=True)
+                del out[kk]
+        return _new(self.nx, self.ny, out, self._bound)
 
     def set_y_one(self):
         """Substitute y_i := 1 for every coefficient variable."""
+        low = 32 * self.ny
         out = {}
         for k, c in self.terms.items():
-            kk = self.x_part(k)
+            kk = k >> low
             nc = out.get(kk, 0) + c
             if nc:
                 out[kk] = nc
             else:
-                out.pop(kk, None)
-        return LaurentPolynomial(self.nx, 0, out, _normalized=True)
+                del out[kk]
+        return _new(self.nx, 0, out, self._bound)
 
     def map_y(self, images, new_ny):
         """Substitute each y_i by a monomial with exponent vector images[i]
@@ -346,7 +462,7 @@ class LaurentPolynomial:
         if len(images) != self.ny:
             raise RankMismatch("one image per y-variable required")
         out = {}
-        for k, c in self.terms.items():
+        for k, c in self.exponent_items():
             ye = self.y_part(k)
             new = [0] * new_ny
             for e, img in zip(ye, images):
@@ -354,25 +470,26 @@ class LaurentPolynomial:
                     for i, v in enumerate(img):
                         new[i] += e * v
             kk = self.x_part(k) + tuple(new)
-            nc = out.get(kk, 0) + c
-            if nc:
-                out[kk] = nc
-            else:
-                out.pop(kk, None)
-        return LaurentPolynomial(self.nx, new_ny, out, _normalized=True)
+            out[kk] = out.get(kk, 0) + c
+        return LaurentPolynomial(self.nx, new_ny, out)
 
     # -- serialization -----------------------------------------------------
 
     def __repr__(self):
         return f"LaurentPolynomial({self.serialize()!r})"
 
+    def _sorted_items(self):
+        """(exponent tuple, coeff) in canonical term order."""
+        unpack = self._codec().unpack
+        terms = self.terms
+        return [(unpack(k), terms[k]) for k in sorted(terms, reverse=True)]
+
     def serialize(self):
         """Canonical text form, terms in canonical order."""
         if not self.terms:
             return "0"
         pieces = []
-        for key in self.sorted_keys():
-            c = self.terms[key]
+        for key, c in self._sorted_items():
             factors = _fmt_factors("x", self.x_part(key)) + _fmt_factors(
                 "y", self.y_part(key)
             )
@@ -395,11 +512,11 @@ class LaurentPolynomial:
             "ny": self.ny,
             "terms": [
                 {
-                    "coeff": self.terms[k],
+                    "coeff": c,
                     "x": list(self.x_part(k)),
                     "y": list(self.y_part(k)),
                 }
-                for k in self.sorted_keys()
+                for k, c in self._sorted_items()
             ],
         }
 
@@ -550,7 +667,8 @@ def tropical_eval(f, spec):
         raise ValueError("cannot tropically evaluate the zero polynomial")
     if not f.coefficients_positive():
         raise ValueError("tropical evaluation requires positive coefficients")
-    if any(any(e != 0 for e in f.x_part(k)) for k in f.terms):
+    items = list(f.exponent_items())
+    if any(any(e != 0 for e in f.x_part(k)) for k, _ in items):
         raise ValueError("tropical evaluation requires a y-only polynomial")
     if spec.kind == "trivial":
         return TropicalMonomial.one(0)
@@ -558,7 +676,7 @@ def tropical_eval(f, spec):
         raise ValueError("tropical_eval needs a trivial or tropical semifield")
     images, m = spec.images(f.ny)
     best = None
-    for k in f.terms:
+    for k, _ in items:
         v = [0] * m
         for e, img in zip(f.y_part(k), images):
             if e:
@@ -609,6 +727,10 @@ __all__ = [
     "SemifieldSpec",
     "RankMismatch",
     "NotDivisible",
+    "ExponentOverflow",
+    "EXPONENT_LIMIT",
+    "TermCodec",
+    "term_codec",
     "tropical_eval",
     "specialize",
     "chebyshev",

@@ -46,21 +46,28 @@ def matrix_rank(B):
 
 
 def matrix_mutate(B, k):
-    """Standard matrix mutation at index k (0-based)."""
-    n = len(B)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == k or j == k:
-                out[i][j] = -B[i][j]
+    """Standard matrix mutation at index k (0-based), with tuple rows.
+
+    Only row k and the rows i with b_ik != 0 change; every other row of B
+    is shared with the result.
+    """
+    rowk = B[k]
+    out = []
+    for i, row in enumerate(B):
+        bik = row[k]
+        if i == k:
+            out.append(tuple([-b for b in row]))
+        elif not bik:
+            out.append(tuple(row))
+        else:
+            # b_ij += |b_ik| b_kj wherever b_ik and b_kj have the same sign
+            if bik > 0:
+                new = [b + bik * c if c > 0 else b for b, c in zip(row, rowk)]
             else:
-                bik, bkj = B[i][k], B[k][j]
-                extra = 0
-                if bik * bkj > 0:
-                    sign = 1 if bik > 0 else -1
-                    extra = sign * bik * bkj
-                out[i][j] = B[i][j] + extra
-    return out
+                new = [b - bik * c if c < 0 else b for b, c in zip(row, rowk)]
+            new[k] = -bik
+            out.append(tuple(new))
+    return tuple(out)
 
 
 def _is_skew(B):
@@ -122,12 +129,11 @@ def mutate(seed, k):
     # row k (equivalently, column k of -B).
     pos = LaurentPolynomial.y_monomial(n, n, y_plus.exps)
     neg = LaurentPolynomial.y_monomial(n, n, y_minus.exps)
-    for i in range(n):
-        bik = B[kk][i]
+    for bik, xi in zip(B[kk], seed.cluster):
         if bik > 0:
-            pos = pos * seed.cluster[i] ** bik
+            pos = pos * xi ** bik
         elif bik < 0:
-            neg = neg * seed.cluster[i] ** (-bik)
+            neg = neg * xi ** -bik
     try:
         new_var = (pos + neg).div_exact(seed.cluster[kk])
     except NotDivisible as exc:  # pragma: no cover - Laurent phenomenon
@@ -136,22 +142,24 @@ def mutate(seed, k):
     new_cluster = list(seed.cluster)
     new_cluster[kk] = new_var
 
-    new_coeffs = []
-    u = tuple(min(e, 0) for e in yk.exps)  # y_k (+) 1
-    for j in range(n):
-        if j == kk:
-            new_coeffs.append(yk.inverse())
+    # y_j' = y_j * (y_k / (y_k (+) 1))^b_jk for b_jk > 0 and
+    # y_j * (y_k (+) 1)^-b_jk for b_jk < 0.  A coefficient whose factor is 1
+    # (b_jk = 0, or y_k of the other sign) is shared with the old seed.
+    new_coeffs = list(seed.coeffs)
+    new_coeffs[kk] = yk.inverse()
+    u = tuple([-e for e in y_minus.exps])  # y_k (+) 1
+    for j, row in enumerate(B):
+        bjk = row[kk]
+        if j == kk or not bjk:
             continue
-        bkj = B[j][kk]
-        w = seed.coeffs[j].exps
-        if bkj > 0:
-            w = tuple(a + bkj * v - bkj * m for a, v, m in zip(w, yk.exps, u))
-        elif bkj < 0:
-            w = tuple(a - bkj * m for a, m in zip(w, u))
-        new_coeffs.append(TropicalMonomial(w))
+        step = y_plus.exps if bjk > 0 else u
+        if any(step):
+            c = abs(bjk)
+            w = tuple([a + c * e for a, e in zip(seed.coeffs[j].exps, step)])
+            new_coeffs[j] = TropicalMonomial(w)
 
     return Seed(
-        B=tuple(tuple(row) for row in matrix_mutate([list(r) for r in B], kk)),
+        B=matrix_mutate(B, kk),
         cluster=tuple(new_cluster),
         coeffs=tuple(new_coeffs),
     )

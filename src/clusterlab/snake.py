@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .algebra import LaurentPolynomial
+from .algebra import LaurentPolynomial, term_codec
 from .errors import ClusterlabError
 from .surface import LoopCrossing, SideRef, SurfaceError
 
@@ -649,17 +649,27 @@ def _expansion(G, coeffs):
     if coeffs not in ("principal", "trivial"):
         raise ValueError("coeffs must be 'principal' or 'trivial'")
     n = G.n_arcs
-    ny = n if coeffs == "principal" else 0
-    denom = [0] * n
+    principal = coeffs == "principal"
+    ny = n if principal else 0
+    denom = [0] * (n + ny)
     for a in G.crossings:
         denom[a - 1] += 1
+    # Pack the raw edge counts and heights, then move every field to its
+    # biased exponent with one integer: x_a^(count - crossings of a).
+    codec = term_codec(n + ny)
+    pack = codec.struct.pack
+    offset = codec.zero - codec.raw(denom)
+    masks = G.enumerate_masks()
     terms = {}
-    for mask, hv in G.enumerate_masks():
+    for mask, hv in masks:
         xe = G.mask_x_exps(mask)
-        key = tuple(x - d for x, d in zip(xe, denom))
-        key = key + (hv if coeffs == "principal" else ())
+        key = int.from_bytes(pack(*xe, *hv) if principal else pack(*xe), "big") + offset
         terms[key] = terms.get(key, 0) + 1
-    return LaurentPolynomial(n, ny, terms)
+    # An edge count is at most len(G.edges) and a denominator at most
+    # len(G.crossings); a height moves by one per flip away from the minimal
+    # matching, so it is below the number of matchings.
+    bound = max(len(G.edges), len(G.crossings), len(masks))
+    return LaurentPolynomial.from_packed(n, ny, terms, bound)
 
 
 __all__ = [

@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .algebra import LaurentPolynomial, chebyshev
+from .errors import ClusterlabError
 from .mutation import initial_seed, mutate, mutate_seq
 from .snake import _turn, build_band, build_snake, expand, expand_band, trim_to_band
 from .surface import (
@@ -242,7 +243,7 @@ def check_genus2():
         _assert_zero(p["V1"] * p["V2"] - rhs_v, "genus-2 V-identity")
 
         residual = p["U1"] * p["U2"] - _x(7, n) - _y(n, (8, 1)) * p["X1"]
-        if not all(k[n] >= 1 for k in residual.terms):
+        if not all(e[n] >= 1 for e, _ in residual.exponent_items()):
             raise _IdentityFailure("U residual is not divisible by y1")
 
         rhs_u = (
@@ -296,7 +297,7 @@ def check_genusg(g=3):
         Y = (Y - X2).div_exact(_x(ap, n))
         if not Y.is_monomial():
             raise _IdentityFailure(f"derived Y is not a monomial: {Y.serialize()}")
-        ((key, coeff),) = Y.terms.items()
+        ((key, coeff),) = Y.exponent_items()
         if coeff != 1 or any(e != 0 for e in key[:n]) or any(e < 0 for e in key[n:]):
             raise _IdentityFailure(f"derived Y is not a y-monomial: {Y.serialize()}")
         if g == 2:
@@ -387,15 +388,18 @@ CASES = {
 
 
 def run_cases(names=None, seed=0):
-    """Run the named cases (all by default) in registry order."""
+    """Run the named cases (all by default) in registry order; each report
+    carries the name of its case."""
     if names is None or names == ["all"]:
         names = list(CASES)
     reports = []
     for name in names:
         if name not in CASES:
-            raise KeyError(f"unknown case {name!r}; known: {', '.join(CASES)}")
+            raise ClusterlabError(f"unknown case {name!r}; known: {', '.join(CASES)}")
         fn = CASES[name]
-        reports.append(fn(seed=seed) if name == "fuzz" else fn())
+        report = fn(seed=seed) if name == "fuzz" else fn()
+        report.name = name
+        reports.append(report)
     return reports
 
 

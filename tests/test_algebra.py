@@ -3,6 +3,8 @@ import random
 import pytest
 
 from clusterlab.algebra import (
+    EXPONENT_LIMIT,
+    ExponentOverflow,
     LaurentPolynomial as LP,
     NotDivisible,
     RankMismatch,
@@ -85,6 +87,8 @@ def test_div_exact_failure():
         (x(1) + x(2)).div_exact(x(1) - x(2))
     with pytest.raises(NotDivisible):
         (2 * x(1) + x(2)).div_exact(LP.const(2, 2, 2))
+    with pytest.raises(NotDivisible):  # the third quotient term leaves the box
+        (x(1) ** 2 + 1).div_exact(x(1) + 1)
     with pytest.raises(ZeroDivisionError):
         x(1).div_exact(LP.zero(2))
 
@@ -182,3 +186,77 @@ def test_hash_consistency():
     p = x(1) + x(2)
     q = x(2) + x(1)
     assert p == q and hash(p) == hash(q)
+
+
+# -- packed term keys -----------------------------------------------------------
+
+
+def _term_dicts(st, n):
+    """Strategy: {exponent tuple: nonzero coeff} in n x- and n y-variables,
+    with negative exponents in both."""
+    key = st.tuples(*[st.integers(-4, 4)] * n, *[st.integers(-2, 3)] * n)
+    coeff = st.integers(-6, 6).filter(bool)
+    return st.dictionaries(key, coeff, max_size=7)
+
+
+def _check_property(check, n_polys):
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    polys = st.integers(1, 3).flatmap(
+        lambda n: st.tuples(st.just(n), *[_term_dicts(st, n)] * n_polys)
+    )
+    hyp.settings(max_examples=100, deadline=None, database=None, derandomize=True)(
+        hyp.given(polys)(check)
+    )()
+
+
+def test_packed_div_exact_of_product():
+    def check(drawn):
+        n, da, db = drawn
+        a, b = LP(n, n, da), LP(n, n, db)
+        if not b.is_zero():
+            assert (a * b).div_exact(b) == a
+
+    _check_property(check, 2)
+
+
+def test_packed_keys_round_trip_and_specialize():
+    def check(drawn):
+        n, d = drawn
+        p = LP(n, n, d)
+        assert LP.parse(p.serialize(), n, n) == p
+        assert LP.from_json(p.to_json()) == p
+        assert p.sorted_keys() == sorted(d, reverse=True)
+        assert dict(p.exponent_items()) == d
+        f, trivial = {}, {}
+        for e, c in d.items():
+            f[(0,) * n + e[n:]] = f.get((0,) * n + e[n:], 0) + c
+            trivial[e[:n]] = trivial.get(e[:n], 0) + c
+        assert p.f_polynomial() == LP(n, n, f)
+        assert p.set_y_one() == LP(n, 0, trivial)
+
+    _check_property(check, 1)
+
+
+def test_exponent_at_the_bound_raises_typed_error():
+    top = LP.monomial(2, 2, 1, (EXPONENT_LIMIT, -EXPONENT_LIMIT))
+    assert top.serialize() == f"x1^{EXPONENT_LIMIT}*x2^-{EXPONENT_LIMIT}"
+    assert top.sorted_keys() == [(EXPONENT_LIMIT, -EXPONENT_LIMIT, 0, 0)]
+    assert (LP.monomial(2, 2, 1, (EXPONENT_LIMIT - 1,)) * x(1)).sorted_keys() == [
+        (EXPONENT_LIMIT, 0, 0, 0)
+    ]
+    h = 1 << 30
+    tall = LP.monomial(2, 2, 1, (h, -h)) + 1
+    assert (tall * (x(1) + x(2))).div_exact(x(1) + x(2)) == tall
+    wide = LP.monomial(2, 2, 1, (h + 1,)) + LP.monomial(2, 2, 1, (-h - 1,))
+    for op in (
+        lambda: top * x(1),
+        lambda: top * top,
+        lambda: top.div_exact(x(2)),
+        lambda: top ** 2,
+        lambda: wide.div_exact(x(1) + 1),
+        lambda: LP.monomial(2, 2, 1, (EXPONENT_LIMIT + 1,)),
+        lambda: LP(2, 2, {(0, 0, -EXPONENT_LIMIT - 1, 0): 1}),
+    ):
+        with pytest.raises(ExponentOverflow):
+            op()

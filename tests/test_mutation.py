@@ -8,12 +8,13 @@ from clusterlab.mutation import (
     NotFound,
     find_mutation_sequence,
     initial_seed,
+    matrix_mutate,
     matrix_rank,
     mutate,
     mutate_seq,
 )
 from clusterlab.snake import build_snake, expand
-from clusterlab.surface import ArcCrossing, builtin_genus1, builtin_genus2
+from clusterlab.surface import ArcCrossing, builtin_genus, builtin_genus1, builtin_genus2
 
 
 def test_initial_seed_entries():
@@ -139,3 +140,56 @@ def test_find_mutation_sequence_all_genus1_fixtures():
         target = expand(build_snake(T, ArcCrossing(seq)))
         found = find_mutation_sequence(s0, target, 6)
         assert mutate_seq(s0, found).cluster[found[-1] - 1] == target
+
+
+def _dense_matrix_mutate(B, k):
+    """Entrywise mutation formula, kept as an oracle for matrix_mutate."""
+    n = len(B)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i == k or j == k:
+                out[i][j] = -B[i][j]
+            else:
+                bik, bkj = B[i][k], B[k][j]
+                extra = 0
+                if bik * bkj > 0:
+                    sign = 1 if bik > 0 else -1
+                    extra = sign * bik * bkj
+                out[i][j] = B[i][j] + extra
+    return out
+
+
+def _random_skew_matrices(count=200, seed=2024):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        B = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                B[i][j] = rng.randint(-3, 3)
+                B[j][i] = -B[i][j]
+        out.append(B)
+    return out
+
+
+@pytest.mark.parametrize(
+    "matrices",
+    [
+        pytest.param(_random_skew_matrices, id="random-skew-200"),
+        pytest.param(lambda: [builtin_genus(1).exchange_matrix()], id="genus1"),
+        pytest.param(lambda: [builtin_genus(2).exchange_matrix()], id="genus2"),
+        pytest.param(lambda: [builtin_genus(3).exchange_matrix()], id="genus3"),
+    ],
+)
+def test_matrix_mutate_matches_dense_formula(matrices):
+    for B in matrices():
+        rows = tuple(tuple(r) for r in B)
+        for k in range(len(B)):
+            got = matrix_mutate(rows, k)
+            assert [list(r) for r in got] == _dense_matrix_mutate(B, k)
+            assert all(type(r) is tuple for r in got)
+            # rows with b_ik = 0 (other than row k) are shared, not copied
+            assert all(got[i] is rows[i] for i in range(len(B)) if i != k and not B[i][k])
+            assert matrix_mutate(got, k) == rows

@@ -230,11 +230,11 @@ def test_cli_verify_unknown_case(capsys):
 
 def test_typed_errors_share_one_base_class():
     from clusterlab import ClusterlabError
-    from clusterlab.algebra import RankMismatch
+    from clusterlab.algebra import ExponentOverflow, RankMismatch
     from clusterlab.mutation import MutationError
     from clusterlab.surface import SurfaceError
 
-    for cls in (SurfaceError, SnakeError, MutationError, RankMismatch):
+    for cls in (SurfaceError, SnakeError, MutationError, RankMismatch, ExponentOverflow):
         assert issubclass(cls, ClusterlabError) and issubclass(cls, ValueError)
 
 
@@ -257,6 +257,7 @@ def test_typed_errors_share_one_base_class():
             "--start-triangle applies to arcs, not to --loop",
         ),
         ("surface --genus 0", "genus must be >= 1"),
+        ("verify nonsense", "unknown case 'nonsense'; known: eq1, eq2"),
     ],
 )
 def test_cli_bad_input_is_one_line_and_exit_2(argv, message, tmp_path, monkeypatch, capsys):
@@ -380,7 +381,7 @@ def test_crashed_case_is_reported_as_error(monkeypatch, capsys):
     monkeypatch.setattr(verify, "zigzag_v_arcs", crash)
     reports = run_cases()
     assert [r.name for r in reports] == [
-        "eq1", "eq2", "genus2", "mutation_oracle", "genus3", "chebyshev2", "fuzz"
+        "eq1", "eq2", "genus2", "mutation_oracle", "genus3", "chebyshev", "fuzz"
     ]
     status = {r.name: (r.status, r.detail) for r in reports}
     assert status.pop("genus3") == ("error", "SnakeError: boom")

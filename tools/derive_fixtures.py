@@ -11,7 +11,7 @@ prefixes.  The result is unique and frozen in clusterlab.verify; rerun with
 
     python tools/derive_fixtures.py
 
-to confirm (about two and a half minutes).
+to confirm (about two minutes).
 """
 
 import time
