@@ -596,22 +596,6 @@ class TropicalMonomial:
         e[i - 1] = 1
         return cls(tuple(e))
 
-    def __mul__(self, other):
-        return TropicalMonomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def inverse(self):
-        return TropicalMonomial(tuple(-a for a in self.exps))
-
-    def tropical_add(self, other):
-        return TropicalMonomial(tuple(min(a, b) for a, b in zip(self.exps, other.exps)))
-
-    def positive_part(self):
-        return TropicalMonomial(tuple(max(a, 0) for a in self.exps))
-
-    def negative_part(self):
-        """[v]_- with exponents max(-v, 0), i.e. 1/(v (+) 1)."""
-        return TropicalMonomial(tuple(max(-a, 0) for a in self.exps))
-
     def is_one(self):
         return all(a == 0 for a in self.exps)
 

@@ -1,10 +1,13 @@
 """Fomin-Zelevinsky seed dynamics with principal coefficients.
 
-Seeds carry an exchange matrix, a cluster of Laurent polynomials written in
-the initial variables, and a coefficient tuple in the tropical semifield
-Trop(y_1, ..., y_n).  Exchange relations are computed exactly in the Laurent
-ring; by the Laurent phenomenon the division by the leaving variable is
-always exact, so a division failure is a loud bug detector.
+Seeds carry the n x 2n extended exchange matrix [B | C] and a cluster of
+Laurent polynomials written in the initial variables.  Row i of C is the
+exponent vector of the coefficient y_i in the tropical semifield
+Trop(y_1, ..., y_n) (Fomin-Zelevinsky, "Cluster algebras IV"), so one
+matrix mutation updates both B and the coefficients.  Exchange relations
+are computed exactly in the Laurent ring; by the Laurent phenomenon the
+division by the leaving variable is always exact, so a division failure is
+a loud bug detector.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ class MutationError(ClusterlabError):
 
 
 def matrix_rank(B):
-    """Rank over the rationals, by fraction-free Gaussian elimination."""
+    """Rank over the rationals, by Gaussian elimination over Fraction."""
     M = [[Fraction(x) for x in row] for row in B]
     rows = len(M)
     cols = len(M[0]) if rows else 0
@@ -48,8 +51,10 @@ def matrix_rank(B):
 def matrix_mutate(B, k):
     """Standard matrix mutation at index k (0-based), with tuple rows.
 
-    Only row k and the rows i with b_ik != 0 change; every other row of B
-    is shared with the result.
+    Rows may be longer than the number of rows: the entrywise rule applies
+    to every column, which on the C half of [B | C] is the tropical
+    coefficient update.  Only row k and the rows i with b_ik != 0 change;
+    every other row is shared with the result.
     """
     rowk = B[k]
     out = []
@@ -79,13 +84,29 @@ def _is_skew(B):
 
 @dataclass(frozen=True)
 class Seed:
-    B: tuple  # n x n skew-symmetric integer matrix, rows as tuples
+    """A seed with principal coefficients.
+
+    M is the n x 2n extended exchange matrix [B | C] with tuple rows: row i
+    is row i of the skew-symmetric B followed by the exponent vector of y_i.
+    """
+
+    M: tuple
     cluster: tuple  # n LaurentPolynomials in the initial variables
-    coeffs: tuple  # n TropicalMonomials in Trop(y_1..y_n)
 
     @property
     def n(self):
         return len(self.cluster)
+
+    @property
+    def B(self):
+        n = self.n
+        return tuple(row[:n] for row in self.M)
+
+    @property
+    def coeffs(self):
+        """The coefficient tuple, as TropicalMonomials in Trop(y_1..y_n)."""
+        n = self.n
+        return tuple(TropicalMonomial(row[n:]) for row in self.M)
 
     def key(self):
         """Dedup key: the multiset of cluster-variable serializations."""
@@ -93,14 +114,15 @@ class Seed:
 
 
 def initial_seed(B):
-    """Seed with cluster (x_1..x_n) and coefficients (y_1..y_n)."""
+    """Seed with cluster (x_1..x_n) and coefficients (y_1..y_n): M = [B | I]."""
     if not _is_skew(B):
         raise MutationError("exchange matrix must be skew-symmetric")
     n = len(B)
     return Seed(
-        B=tuple(tuple(row) for row in B),
+        M=tuple(
+            tuple(row) + (0,) * i + (1,) + (0,) * (n - 1 - i) for i, row in enumerate(B)
+        ),
         cluster=tuple(LaurentPolynomial.x_var(i, n) for i in range(1, n + 1)),
-        coeffs=tuple(TropicalMonomial.generator(i, n) for i in range(1, n + 1)),
     )
 
 
@@ -112,24 +134,23 @@ def mutate(seed, k):
         x_k * x_k' = (y_k / (y_k (+) 1)) prod_i x_i^[b_ik]_+
                     + (1 / (y_k (+) 1)) prod_i x_i^[-b_ik]_+
 
-    evaluated exactly in the Laurent ring, with the coefficient tuple
-    mutated tropically.
+    evaluated exactly in the Laurent ring; [B | C] is mutated as one matrix.
     """
     n = seed.n
     if not 1 <= k <= n:
         raise MutationError(f"mutation index {k} out of range 1..{n}")
     kk = k - 1
-    B = seed.B
-    yk = seed.coeffs[kk]
-    y_plus = yk.positive_part()  # y_k / (y_k (+) 1)
-    y_minus = yk.negative_part()  # 1 / (y_k (+) 1)
+    row = seed.M[kk]
 
     # The triangulation convention for b_ij is transposed relative to the
     # matrix the snake expansion realizes, so the exchange at k reads off
-    # row k (equivalently, column k of -B).
-    pos = LaurentPolynomial.y_monomial(n, n, y_plus.exps)
-    neg = LaurentPolynomial.y_monomial(n, n, y_minus.exps)
-    for bik, xi in zip(B[kk], seed.cluster):
+    # row k (equivalently, column k of -B); zip stops at the n cluster
+    # variables, so it reads only the B half.  The C half is y_k, whose
+    # positive and negative parts are y_k / (y_k (+) 1) and 1 / (y_k (+) 1).
+    yk = row[n:]
+    pos = LaurentPolynomial.y_monomial(n, n, tuple([e if e > 0 else 0 for e in yk]))
+    neg = LaurentPolynomial.y_monomial(n, n, tuple([-e if e < 0 else 0 for e in yk]))
+    for bik, xi in zip(row, seed.cluster):
         if bik > 0:
             pos = pos * xi ** bik
         elif bik < 0:
@@ -141,28 +162,7 @@ def mutate(seed, k):
 
     new_cluster = list(seed.cluster)
     new_cluster[kk] = new_var
-
-    # y_j' = y_j * (y_k / (y_k (+) 1))^b_jk for b_jk > 0 and
-    # y_j * (y_k (+) 1)^-b_jk for b_jk < 0.  A coefficient whose factor is 1
-    # (b_jk = 0, or y_k of the other sign) is shared with the old seed.
-    new_coeffs = list(seed.coeffs)
-    new_coeffs[kk] = yk.inverse()
-    u = tuple([-e for e in y_minus.exps])  # y_k (+) 1
-    for j, row in enumerate(B):
-        bjk = row[kk]
-        if j == kk or not bjk:
-            continue
-        step = y_plus.exps if bjk > 0 else u
-        if any(step):
-            c = abs(bjk)
-            w = tuple([a + c * e for a, e in zip(seed.coeffs[j].exps, step)])
-            new_coeffs[j] = TropicalMonomial(w)
-
-    return Seed(
-        B=matrix_mutate(B, kk),
-        cluster=tuple(new_cluster),
-        coeffs=tuple(new_coeffs),
-    )
+    return Seed(M=matrix_mutate(seed.M, kk), cluster=tuple(new_cluster))
 
 
 def mutate_seq(seed, ks):
@@ -180,8 +180,8 @@ def find_mutation_sequence(seed, target, depth):
     """Breadth-first search for a mutation sequence whose mutated variable
     equals `target` exactly; ties break toward lexicographically smaller
     sequences.  Raises NotFound past the depth bound."""
-    if depth > 10:
-        raise MutationError("search depth capped at 10")
+    if not 0 <= depth <= 10:
+        raise MutationError(f"search depth {depth} outside 0..10")
     n = seed.n
     if any(v == target for v in seed.cluster):
         return ()

@@ -339,19 +339,20 @@ class Triangulation:
         """
         if self.n_marked != 1 or self.n_boundary != 1:
             raise SurfaceError("boundary_loop requires exactly one marked point")
-        slot_of = {}
-        for t, tri in enumerate(self.triangles):
-            for i, s in enumerate(tri):
-                slot_of.setdefault((s.kind, s.index), []).append((t, i))
-        (tb, ib) = slot_of[("B", 1)][0]
+        slots = self._slot_table
+        t, k = next(
+            (t, i)
+            for t, tri in enumerate(self.triangles)
+            for i, s in enumerate(tri)
+            if not s.is_arc and s.index == 1
+        )
         crossed = []
-        t, k = tb, ib
         while True:
             side = self.triangles[t][(k - 1) % 3]
             if not side.is_arc:
                 break
             crossed.append(side.index)
-            s1, s2 = slot_of[("A", side.index)]
+            s1, s2 = slots[side.index]
             t, k = s2 if (s1 == (t, (k - 1) % 3)) else s1
         if len(crossed) != 2 * self.n_arcs:
             raise SurfaceError("boundary loop walk did not visit every arc end")

@@ -116,6 +116,8 @@ def test_find_mutation_sequence_not_found():
         find_mutation_sequence(s0, target, 2)
     with pytest.raises(MutationError):
         find_mutation_sequence(s0, target, 11)
+    with pytest.raises(MutationError):
+        find_mutation_sequence(s0, target, -1)
 
 
 def test_genus2_oracle_equivalence():
@@ -143,11 +145,14 @@ def test_find_mutation_sequence_all_genus1_fixtures():
 
 
 def _dense_matrix_mutate(B, k):
-    """Entrywise mutation formula, kept as an oracle for matrix_mutate."""
-    n = len(B)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
+    """Entrywise mutation formula, kept as an oracle for matrix_mutate.
+
+    B may be rectangular ([B | C]): rows range over len(B), columns over
+    len(B[0]), and k indexes a row."""
+    rows, cols = len(B), len(B[0])
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        for j in range(cols):
             if i == k or j == k:
                 out[i][j] = -B[i][j]
             else:
@@ -160,18 +165,36 @@ def _dense_matrix_mutate(B, k):
     return out
 
 
+def _random_skew(rng, n):
+    B = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            B[i][j] = rng.randint(-3, 3)
+            B[j][i] = -B[i][j]
+    return B
+
+
 def _random_skew_matrices(count=200, seed=2024):
+    rng = random.Random(seed)
+    return [_random_skew(rng, rng.randint(1, 8)) for _ in range(count)]
+
+
+def _random_extended_matrices(count=200, seed=2025):
+    """Random [B | C]: skew-symmetric B next to an arbitrary integer C."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
         n = rng.randint(1, 8)
-        B = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                B[i][j] = rng.randint(-3, 3)
-                B[j][i] = -B[i][j]
-        out.append(B)
+        B = _random_skew(rng, n)
+        out.append([row + [rng.randint(-3, 3) for _ in range(n)] for row in B])
     return out
+
+
+def _with_identity(g):
+    """[B | I] for the genus-g seed, the matrix of initial_seed."""
+    B = builtin_genus(g).exchange_matrix()
+    n = len(B)
+    return [[row + [int(i == j) for j in range(n)] for i, row in enumerate(B)]]
 
 
 @pytest.mark.parametrize(
@@ -181,6 +204,10 @@ def _random_skew_matrices(count=200, seed=2024):
         pytest.param(lambda: [builtin_genus(1).exchange_matrix()], id="genus1"),
         pytest.param(lambda: [builtin_genus(2).exchange_matrix()], id="genus2"),
         pytest.param(lambda: [builtin_genus(3).exchange_matrix()], id="genus3"),
+        pytest.param(_random_extended_matrices, id="random-extended-200"),
+        pytest.param(lambda: _with_identity(1), id="genus1-principal"),
+        pytest.param(lambda: _with_identity(2), id="genus2-principal"),
+        pytest.param(lambda: _with_identity(3), id="genus3-principal"),
     ],
 )
 def test_matrix_mutate_matches_dense_formula(matrices):
@@ -193,3 +220,38 @@ def test_matrix_mutate_matches_dense_formula(matrices):
             # rows with b_ik = 0 (other than row k) are shared, not copied
             assert all(got[i] is rows[i] for i in range(len(B)) if i != k and not B[i][k])
             assert matrix_mutate(got, k) == rows
+
+
+def _tropical_coeff_mutate(B, coeffs, kk):
+    """The coefficient rule written out on its own, kept as an oracle for the
+    C half of [B | C]: y_j' = y_j * (y_k / (y_k (+) 1))^b_jk for b_jk > 0,
+    y_j * (y_k (+) 1)^-b_jk for b_jk < 0, and y_k' = 1 / y_k."""
+    yk = coeffs[kk]
+    y_plus = tuple(max(e, 0) for e in yk)  # y_k / (y_k (+) 1)
+    u = tuple(min(e, 0) for e in yk)  # y_k (+) 1
+    out = list(coeffs)
+    out[kk] = tuple(-e for e in yk)
+    for j, row in enumerate(B):
+        bjk = row[kk]
+        if j == kk or not bjk:
+            continue
+        step = y_plus if bjk > 0 else u
+        out[j] = tuple(a + abs(bjk) * e for a, e in zip(coeffs[j], step))
+    return out
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_coefficients_match_tropical_rule(genus):
+    rng = random.Random(genus)
+    B0 = builtin_genus(genus).exchange_matrix()
+    n = len(B0)
+    s0 = initial_seed(B0)
+    for _ in range(20):
+        s, B, ys = s0, B0, [TropicalMonomial.generator(i, n).exps for i in range(1, n + 1)]
+        for _ in range(rng.randint(1, 6)):
+            kk = rng.randrange(n)
+            ys = _tropical_coeff_mutate(B, ys, kk)
+            B = _dense_matrix_mutate(B, kk)
+            s = mutate(s, kk + 1)
+            assert [list(r) for r in s.B] == B
+            assert s.coeffs == tuple(TropicalMonomial(y) for y in ys)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -108,6 +109,18 @@ def test_fuzz_deterministic_reports():
     a = check_fuzz(trials=20, max_len=5, seed=42)
     b = check_fuzz(trials=20, max_len=5, seed=42)
     assert (a.status, a.detail) == (b.status, b.detail)
+
+
+def test_fuzz_fails_on_a_mixed_sign_c_vector(monkeypatch):
+    def mixed(seed, seq):
+        n = seed.n
+        row = seed.M[0][:n] + (1, -1) + (0,) * (n - 2)
+        return dataclasses.replace(seed, M=(row,) + seed.M[1:])
+
+    monkeypatch.setattr(verify, "mutate_seq", mixed)
+    r = check_fuzz(trials=2, max_len=3, seed=0)
+    assert r.status == "fail"
+    assert r.detail.startswith("c-vector (1, -1, 0, 0) not sign-coherent after sequence")
 
 
 def test_bangle_product_singleton_arc():
