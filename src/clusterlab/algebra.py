@@ -98,6 +98,13 @@ def _checked(bound):
     return bound
 
 
+def _unit(i, n):
+    """The exponent vector of the i-th (1-based) of n variables."""
+    if not 1 <= i <= n:
+        raise RankMismatch(f"variable index {i} out of range 1..{n}")
+    return [0] * (i - 1) + [1] + [0] * (n - i)
+
+
 def _mul_terms(a, b, zero):
     """Distributive product of two term maps {packed key: coeff}."""
     if len(a) < len(b):
@@ -220,17 +227,13 @@ class LaurentPolynomial:
     def x_var(cls, i, nx, ny=None):
         """The variable x_i (1-based)."""
         ny = nx if ny is None else ny
-        e = [0] * nx
-        e[i - 1] = 1
-        return cls.monomial(nx, ny, 1, e)
+        return cls.monomial(nx, ny, 1, _unit(i, nx))
 
     @classmethod
     def y_var(cls, i, nx, ny=None):
         """The coefficient variable y_i (1-based)."""
         ny = nx if ny is None else ny
-        e = [0] * ny
-        e[i - 1] = 1
-        return cls.monomial(nx, ny, 1, (), e)
+        return cls.monomial(nx, ny, 1, (), _unit(i, ny))
 
     @classmethod
     def y_monomial(cls, nx, ny, y_exps, coeff=1):
@@ -592,9 +595,7 @@ class TropicalMonomial:
 
     @classmethod
     def generator(cls, i, m):
-        e = [0] * m
-        e[i - 1] = 1
-        return cls(tuple(e))
+        return cls(tuple(_unit(i, m)))
 
     def is_one(self):
         return all(a == 0 for a in self.exps)
@@ -628,6 +629,8 @@ class SemifieldSpec:
             a if isinstance(a, TropicalMonomial) else TropicalMonomial(tuple(a))
             for a in assignment
         )
+        if any(len(a.exps) != rank for a in assignment):
+            raise RankMismatch(f"every tropical image must have length {rank}")
         return cls("tropical", rank, assignment)
 
     @classmethod
@@ -651,23 +654,16 @@ def tropical_eval(f, spec):
         raise ValueError("cannot tropically evaluate the zero polynomial")
     if not f.coefficients_positive():
         raise ValueError("tropical evaluation requires positive coefficients")
-    items = list(f.exponent_items())
-    if any(any(e != 0 for e in f.x_part(k)) for k, _ in items):
+    if any(any(f.x_part(k)) for k, _ in f.exponent_items()):
         raise ValueError("tropical evaluation requires a y-only polynomial")
     if spec.kind == "trivial":
         return TropicalMonomial.one(0)
     if spec.kind != "tropical":
         raise ValueError("tropical_eval needs a trivial or tropical semifield")
-    images, m = spec.images(f.ny)
-    best = None
-    for k, _ in items:
-        v = [0] * m
-        for e, img in zip(f.y_part(k), images):
-            if e:
-                for i, x in enumerate(img):
-                    v[i] += e * x
-        best = v if best is None else [min(a, b) for a, b in zip(best, v)]
-    return TropicalMonomial(tuple(best))
+    # The coefficients are positive, so merging terms in map_y cancels none.
+    g = f.map_y(*spec.images(f.ny))
+    ys = [g.y_part(k) for k, _ in g.exponent_items()]
+    return TropicalMonomial(tuple(map(min, zip(*ys))))
 
 
 def specialize(p, spec):

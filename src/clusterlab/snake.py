@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 from .algebra import LaurentPolynomial, term_codec
 from .errors import ClusterlabError
-from .surface import LoopCrossing, SideRef, SurfaceError
+from .surface import LoopCrossing, SideRef, SurfaceError, sides_after, turn
 
 
 class SnakeError(ClusterlabError):
@@ -105,32 +105,6 @@ class _Edge:
         return f"_Edge({self.index}, {self.label}, tiles={self.tiles})"
 
 
-def _slot_of(tri, a):
-    for i, s in enumerate(tri):
-        if s.is_arc and s.index == a:
-            return i
-    raise SnakeError(f"arc {a} not a side of triangle {tri}")
-
-
-def _turn(tri, entry, exit_):
-    """Turn type of a triangle crossed from arc `entry` to arc `exit_`:
-    "R" when the ccw cyclic order is (entry, exit, third), "L" when it is
-    (entry, third, exit).  Returns (type, third side)."""
-    i = _slot_of(tri, entry)
-    nxt, prv = tri[(i + 1) % 3], tri[(i + 2) % 3]
-    if nxt.is_arc and nxt.index == exit_:
-        return "R", prv
-    if prv.is_arc and prv.index == exit_:
-        return "L", nxt
-    raise SnakeError(f"triangle {tri} does not link arcs {entry} -> {exit_}")
-
-
-def _end_sides(tri, a):
-    """The two free sides of a terminal triangle, in ccw order after arc a."""
-    i = _slot_of(tri, a)
-    return tri[(i + 1) % 3], tri[(i + 2) % 3]
-
-
 class _TileSpec:
     """Side content of one tile before a drawing is chosen."""
 
@@ -151,11 +125,11 @@ def _tile_specs(T, crossings, walk, loop):
         tri_f = T.triangles[walk[j + 1]]
         slots = {}
         if not loop and j == 0:
-            slots["s12"], slots["s23"] = _end_sides(tri_b, crossings[0])
+            slots["s12"], slots["s23"] = sides_after(tri_b, crossings[0])
             sin_slot = None
         else:
             prev = crossings[(j - 1) % d]
-            t, sigma = _turn(tri_b, prev, crossings[j])
+            t, sigma = turn(tri_b, prev, crossings[j])
             if t == "R":
                 slots["s12"], slots["s23"] = sigma, SideRef("A", prev)
                 sin_slot = "s12"
@@ -163,11 +137,11 @@ def _tile_specs(T, crossings, walk, loop):
                 slots["s12"], slots["s23"] = SideRef("A", prev), sigma
                 sin_slot = "s23"
         if not loop and j == d - 1:
-            slots["s34"], slots["s41"] = _end_sides(tri_f, crossings[j])
+            slots["s34"], slots["s41"] = sides_after(tri_f, crossings[j])
             sout_slot = None
         else:
             nxt = crossings[(j + 1) % d]
-            t, sigma = _turn(tri_f, crossings[j], nxt)
+            t, sigma = turn(tri_f, crossings[j], nxt)
             if t == "R":
                 slots["s34"], slots["s41"] = SideRef("A", nxt), sigma
                 sout_slot = "s41"

@@ -55,6 +55,26 @@ def boundary(i):
     return SideRef("B", i)
 
 
+def sides_after(tri, a):
+    """The other two sides of triangle `tri`, in ccw order after arc `a`."""
+    for i, s in enumerate(tri):
+        if s.is_arc and s.index == a:
+            return tri[(i + 1) % 3], tri[(i + 2) % 3]
+    raise SurfaceError(f"arc {a} not a side of triangle {tri}")
+
+
+def turn(tri, entry, exit_):
+    """Turn type of a triangle crossed from arc `entry` to arc `exit_`:
+    "R" when the ccw cyclic order is (entry, exit, third), "L" when it is
+    (entry, third, exit).  Returns (type, third side)."""
+    nxt, prv = sides_after(tri, entry)
+    if nxt.is_arc and nxt.index == exit_:
+        return "R", prv
+    if prv.is_arc and prv.index == exit_:
+        return "L", nxt
+    raise SurfaceError(f"triangle {tri} does not link arcs {entry} -> {exit_}")
+
+
 @dataclass(frozen=True)
 class ArcCrossing:
     """Ordered list of arc indices crossed by an arc, plus (optionally) the
@@ -279,6 +299,8 @@ class Triangulation:
         """
         crossings = tuple(crossings)
         d = len(crossings)
+        if not d:
+            raise SurfaceError("empty crossing sequence")
         pairs = zip(crossings, crossings[1:] + crossings[:1] if loop else crossings[1:])
         if any(a == b for a, b in pairs):
             raise SurfaceError(
@@ -312,6 +334,35 @@ class Triangulation:
         raise SurfaceError(
             f"invalid crossing sequence {crossings}: {last_err or 'no valid start triangle'}"
         )
+
+    def arc_walks(self, max_len, start=None, same_turn=False):
+        """Yield (start triangle, crossings, triangle walk) for every crossing
+        sequence of length 1..max_len from `start` (default: every triangle),
+        in depth-first preorder: start triangles ascending, then each
+        triangle's arc sides in listed order, never recrossing the arc just
+        crossed.  `same_turn` keeps only the walks in which every triangle
+        turns the same way (see `turn`)."""
+        tris = self.triangles
+        if start is not None and not 0 <= start < len(tris):
+            raise SurfaceError(f"start triangle {start} out of range 0..{len(tris) - 1}")
+
+        def extend(seq, walk, last_turn):
+            if seq:
+                yield walk[0], seq, walk
+            if len(seq) >= max_len:
+                return
+            tri = tris[walk[-1]]
+            for s in tri:
+                if not s.is_arc or seq and s.index == seq[-1]:
+                    continue
+                t = turn(tri, seq[-1], s.index)[0] if same_turn and seq else None
+                if last_turn and t != last_turn:
+                    continue
+                nxt = self.other_triangle(s.index, walk[-1])
+                yield from extend(seq + (s.index,), walk + [nxt], t)
+
+        for t0 in range(len(tris)) if start is None else (start,):
+            yield from extend((), [t0], None)
 
     def validates_arc(self, crossing):
         try:
@@ -485,6 +536,8 @@ __all__ = [
     "LoopCrossing",
     "Triangulation",
     "SurfaceError",
+    "sides_after",
+    "turn",
     "builtin_genus",
     "builtin_genus1",
     "builtin_genus2",

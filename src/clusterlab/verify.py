@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .algebra import LaurentPolynomial, chebyshev
 from .errors import ClusterlabError
 from .mutation import initial_seed, mutate, mutate_seq
-from .snake import _turn, build_band, build_snake, expand, expand_band, trim_to_band
+from .snake import build_band, build_snake, expand, expand_band, trim_to_band
 from .surface import (
     ArcCrossing,
     LoopCrossing,
@@ -157,33 +157,20 @@ def zigzag_v_arcs(g):
         t for t, tri in enumerate(T.triangles) if any(not s.is_arc for s in tri)
     )
     length = 6 * g - 2
-
-    def search(first):
-        found = []
-
-        def rec(tri, seq, turn):
-            if len(seq) == length:
-                if tri == btri and seq[-1] == first:
-                    S = build_snake(T, ArcCrossing(tuple(seq), start_triangle=btri))
-                    dirs = S.glue_dirs
-                    if all(dirs[i] != dirs[i + 1] for i in range(len(dirs) - 1)):
-                        found.append(tuple(seq))
-                return
-            for s in T.triangles[tri]:
-                if not s.is_arc or s.index == seq[-1]:
-                    continue
-                # Glue directions alternate exactly when each tile's glue slots
-                # are adjacent, i.e. when every triangle turns the same way.
-                t, _ = _turn(T.triangles[tri], seq[-1], s.index)
-                if turn is None or t == turn:
-                    rec(T.other_triangle(s.index, tri), seq + [s.index], t)
-
-        rec(T.other_triangle(first, btri), [first], None)
-        if not found:
+    # One pass serves both searches: the boundary triangle holds exactly arcs
+    # 4g and 4g-1.  Glue directions alternate exactly when every triangle turns
+    # the same way; the built snake's glue directions cross-check that pruning.
+    found = {}
+    for _, seq, walk in T.arc_walks(length, start=btri, same_turn=True):
+        if len(seq) == length and walk[-1] == btri and seq[-1] == seq[0]:
+            dirs = build_snake(T, ArcCrossing(seq, start_triangle=btri)).glue_dirs
+            if all(dirs[i] != dirs[i + 1] for i in range(len(dirs) - 1)):
+                found.setdefault(seq[0], []).append(seq)
+    firsts = (4 * g, 4 * g - 1)
+    for first in firsts:
+        if first not in found:
             raise CaseError(f"no zigzag arc of length {length} from arc {first}")
-        return ArcCrossing(min(found), start_triangle=btri)
-
-    return T, search(4 * g), search(4 * g - 1)
+    return (T, *(ArcCrossing(min(found[f]), start_triangle=btri) for f in firsts))
 
 
 # -- cases --------------------------------------------------------------------

@@ -55,6 +55,12 @@ def test_rank_mismatch_raises():
         x(1, 2) + x(1, 3)
     with pytest.raises(RankMismatch):
         x(1, 2) * x(1, 3)
+    for i in (-1, 0, 3):  # 1-based indices: x_0 must not wrap round to x_2
+        for make in (LP.x_var, LP.y_var, TropicalMonomial.generator):
+            with pytest.raises(RankMismatch):
+                make(i, 2)
+    with pytest.raises(RankMismatch):
+        SemifieldSpec.tropical(2, [(1, 2, 3), (0, 1)])
 
 
 def test_ring_laws_random():

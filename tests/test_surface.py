@@ -13,6 +13,7 @@ from clusterlab.surface import (
     builtin_genus,
     builtin_genus1,
     builtin_genus2,
+    turn,
 )
 
 
@@ -102,6 +103,9 @@ def test_triangle_walk_start_and_errors():
         T.triangle_walk((3, 3))  # immediate re-crossing needs a self-folded triangle
     with pytest.raises(SurfaceError):
         T.triangle_walk((1, 3, 1))  # no side of arc 3 leads back across arc 1
+    for loop in (False, True):
+        with pytest.raises(SurfaceError, match="empty crossing sequence"):
+            T.triangle_walk((), loop=loop)
 
 
 def test_boundary_loop_lengths_and_validity():
@@ -165,3 +169,57 @@ def test_exchange_matrix_mirror_equivariance():
         B, Bm = T.exchange_matrix(), mirror.exchange_matrix()
         n = T.n_arcs
         assert all(Bm[i][j] == -B[i][j] for i in range(n) for j in range(n))
+
+
+# -- arc walks --------------------------------------------------------------------
+
+
+def _preorder_walks(T, max_len):
+    """Reference order: a recursion over crossing sequences from each start
+    triangle in turn, each node listed before its extensions."""
+    out = []
+
+    def rec(tri0, tri, seq):
+        out.append((tri0, tuple(seq)))
+        if len(seq) < max_len:
+            for s in T.triangles[tri]:
+                if s.is_arc and s.index != seq[-1]:
+                    rec(tri0, T.other_triangle(s.index, tri), seq + [s.index])
+
+    for tri0, tri in enumerate(T.triangles):
+        for s in tri:
+            if s.is_arc:
+                rec(tri0, T.other_triangle(s.index, tri0), [s.index])
+    return out
+
+
+def test_arc_walks_genus2_preorder():
+    T = builtin_genus2()
+    walks = list(T.arc_walks(8))
+    assert len(walks) == 3634
+    assert len({(t0, seq) for t0, seq, _ in walks}) == 3634
+    assert [(t0, seq) for t0, seq, _ in walks] == _preorder_walks(T, 8)
+    assert all(walk == T.triangle_walk(seq, t0) for t0, seq, walk in walks)
+
+
+def test_arc_walks_same_turn_filters_by_turn_type():
+    T = builtin_genus2()
+
+    def one_turn(seq, walk):
+        turns = {turn(T.triangles[walk[j]], seq[j - 1], seq[j])[0] for j in range(1, len(seq))}
+        return len(turns) <= 1
+
+    same = list(T.arc_walks(8, same_turn=True))
+    assert len(same) == 244
+    assert same == [w for w in T.arc_walks(8) if one_turn(w[1], w[2])]
+
+
+def test_arc_walks_from_one_start_triangle():
+    T = builtin_genus2()
+    btri = next(t for t, tri in enumerate(T.triangles) if any(not s.is_arc for s in tri))
+    walks = list(T.arc_walks(6, start=btri))
+    assert walks == [w for w in T.arc_walks(6) if w[0] == btri]
+    assert {seq[0] for _, seq, _ in walks} == {7, 8}
+    for bad in (-1, len(T.triangles)):
+        with pytest.raises(SurfaceError):
+            next(T.arc_walks(6, start=bad))

@@ -11,7 +11,8 @@ prefixes.  The result is unique and frozen in clusterlab.verify; rerun with
 
     python tools/derive_fixtures.py
 
-to confirm (about two minutes).
+to confirm: it exits 1 if the result differs from the recorded arcs.  One
+run took 1 min 48 s on a shared two-core machine under Python 3.11.
 """
 
 import time
@@ -63,20 +64,9 @@ def main():
         if dominated(pre3 * e, residual):
             cands_w3[e] = seq
 
-    def rec(tri0, tri, seq):
-        if len(seq) <= MAX_LEN:
-            consider(tuple(seq), tri0)
-        if len(seq) >= MAX_LEN:
-            return
-        for s in T.triangles[tri]:
-            if s.is_arc and s.index != seq[-1]:
-                rec(tri0, T.other_triangle(s.index, tri), seq + [s.index])
-
     t0 = time.time()
-    for tri0 in range(len(T.triangles)):
-        for s in T.triangles[tri0]:
-            if s.is_arc:
-                rec(tri0, T.other_triangle(s.index, tri0), [s.index])
+    for tri0, seq, _ in T.arc_walks(MAX_LEN):
+        consider(seq, tri0)
     print(
         f"candidates: W1 {len(cands_w1)}, W2 {len(cands_w2)}, W3 {len(cands_w3)} "
         f"({time.time() - t0:.0f}s)"
@@ -97,9 +87,8 @@ def main():
                 solutions.append((s1, cands_w2.get(w2), s3))
     for s1, s2, s3 in solutions:
         print(f"W1 = {s1}\nW2 = {s2}\nW3 = {s3}")
-    assert solutions == [
-        (GENUS2_ARCS["W1"], GENUS2_ARCS["W2"], GENUS2_ARCS["W3"])
-    ], "derived fixtures changed"
+    if solutions != [(GENUS2_ARCS["W1"], GENUS2_ARCS["W2"], GENUS2_ARCS["W3"])]:
+        raise SystemExit("derived fixtures differ from the recorded W1, W2, W3")
     print("frozen fixtures confirmed")
 
 
