@@ -22,14 +22,11 @@ from .mutation import (
     mutate_seq,
 )
 from .snake import (
-    BandGraph,
-    SnakeGraph,
+    MatchingGraph,
     build_band,
     build_snake,
-    enumerate_matchings,
     expand,
     expand_band,
-    minimal_matching,
     trim_to_band,
 )
 from .surface import (

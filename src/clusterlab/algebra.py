@@ -247,9 +247,6 @@ class LaurentPolynomial:
     def is_zero(self):
         return not self.terms
 
-    def is_one(self):
-        return self.terms == {self._codec().zero: 1}
-
     def is_monomial(self):
         return len(self.terms) == 1
 
@@ -568,12 +565,13 @@ class LaurentPolynomial:
                     idx, exp = rest.split("^")
                 else:
                     idx, exp = rest, "1"
-                if sym == "x":
-                    xe[int(idx) - 1] += int(exp)
-                elif sym == "y":
-                    ye[int(idx) - 1] += int(exp)
-                else:
+                if sym not in ("x", "y"):
                     raise ValueError(f"bad factor {factor!r}")
+                exps = xe if sym == "x" else ye
+                i = int(idx)
+                if not 1 <= i <= len(exps):
+                    raise RankMismatch(f"variable {factor!r} out of range 1..{len(exps)}")
+                exps[i - 1] += int(exp)
             poly = poly + cls.monomial(nx, ny, coeff, xe, ye)
         return poly
 

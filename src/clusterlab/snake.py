@@ -80,17 +80,6 @@ class Tile:
         return dict(self.labels)
 
 
-@dataclass(frozen=True)
-class PerfectMatching:
-    edges: frozenset  # edge indices into the owning graph
-
-
-@dataclass(frozen=True)
-class MatchingWeight:
-    x_exps: tuple
-    y_exps: tuple
-
-
 class _Edge:
     __slots__ = ("index", "label", "segments", "tiles", "vertices")
 
@@ -207,8 +196,9 @@ def _lay_out(specs, loop):
 
 
 class MatchingGraph:
-    """The labeled graph underlying a snake or band graph, with the tile
-    structure needed for flip enumeration."""
+    """A snake graph (`wrap` is None) or a band graph (`wrap` names the
+    glued sides of the first and last tiles), with the tile structure
+    needed for flip enumeration."""
 
     def __init__(self, T, crossings, walk, tiles, glue_dirs, wrap=None):
         self.triangulation = T
@@ -364,8 +354,9 @@ class MatchingGraph:
     # -- enumeration ----------------------------------------------------------
 
     def enumerate_masks(self):
-        """All flip-reachable matchings from the minimal one, with their
-        per-arc height vectors (y-exponents), deterministically ordered.
+        """All perfect matchings of a snake graph, or all good matchings of a
+        band graph, as (edge bitmask, per-arc height vector) pairs: the flip
+        closure of the minimal matching in breadth-first order from it.
 
         Every rediscovery is checked for height consistency, which
         certifies that the parity rule for flip directions is globally
@@ -374,7 +365,6 @@ class MatchingGraph:
         m0 = self.minimal_mask()
         zero = (0,) * self.n_arcs
         seen = {m0: zero}
-        out = [(m0, zero)]
         frontier = [(m0, zero)]
         arc_of = [t.diagonal - 1 for t in self.tiles]
         while frontier:
@@ -396,10 +386,8 @@ class MatchingGraph:
                         )
                     seen[child] = ch
                     nxt.append((child, ch))
-                    out.append((child, ch))
             frontier = nxt
-        out.sort(key=lambda t: (t[1], t[0]))
-        return out
+        return list(seen.items())
 
     def minimal_mask(self):
         """The unique source of the flip order, reached from the seed by
@@ -460,17 +448,6 @@ class MatchingGraph:
             m ^= b
         return tuple(xe)
 
-    def matching_from_mask(self, mask):
-        return PerfectMatching(
-            frozenset(i for i in range(len(self.edges)) if mask >> i & 1)
-        )
-
-    def mask_from_matching(self, pm):
-        mask = 0
-        for i in pm.edges:
-            mask |= 1 << i
-        return mask
-
 
 def _alternating_boundary_matching(edges, start):
     """Every other edge of the boundary cycle, starting with `start`, of a
@@ -491,14 +468,6 @@ def _alternating_boundary_matching(edges, start):
         p, q = e.segments[0]
         v = q if p == v else p
     return set(cycle[0::2])
-
-
-class SnakeGraph(MatchingGraph):
-    """Ordered tiles of an arc's crossing sequence, glued north or east."""
-
-
-class BandGraph(MatchingGraph):
-    """Snake graph of one loop period with first and last tiles glued."""
 
 
 def _make_tiles(specs, drawings, grids):
@@ -528,7 +497,7 @@ def build_snake(T, crossing):
     specs = _tile_specs(T, seq, walk, loop=False)
     drawings, grids, dirs = _lay_out(specs, loop=False)
     tiles = _make_tiles(specs, drawings, grids)
-    return SnakeGraph(T, seq, walk, tiles, dirs)
+    return MatchingGraph(T, seq, walk, tiles, dirs)
 
 
 def build_band(T, loop, start_triangle=None):
@@ -547,7 +516,7 @@ def build_band(T, loop, start_triangle=None):
     tiles = _make_tiles(specs, drawings, grids)
     _, pos0, _ = _DRAWINGS[drawings[0]]
     wrap = (pos0[specs[0].sin_slot], dirs[-1])
-    return BandGraph(T, seq, walk, tiles, dirs[:-1], wrap)
+    return MatchingGraph(T, seq, walk, tiles, dirs[:-1], wrap)
 
 
 def trim_to_band(S):
@@ -565,22 +534,6 @@ def trim_to_band(S):
         r for r in range(len(inner)) if inner[r:] + inner[:r] == lc.cyclic_sequence
     )
     return build_band(S.triangulation, lc, start_triangle=S.walk[1 + r])
-
-
-def minimal_matching(G):
-    """The unique flip-source matching (y-weight 1)."""
-    return G.matching_from_mask(G.minimal_mask())
-
-
-def enumerate_matchings(G):
-    """All perfect matchings of a snake graph, or all good matchings of a
-    band graph, as (PerfectMatching, MatchingWeight) pairs."""
-    out = []
-    for mask, hv in G.enumerate_masks():
-        out.append(
-            (G.matching_from_mask(mask), MatchingWeight(G.mask_x_exps(mask), hv))
-        )
-    return out
 
 
 def all_matchings_bruteforce(G):
@@ -648,16 +601,11 @@ def _expansion(G, coeffs):
 
 __all__ = [
     "Tile",
-    "SnakeGraph",
-    "BandGraph",
-    "PerfectMatching",
-    "MatchingWeight",
+    "MatchingGraph",
     "SnakeError",
     "build_snake",
     "build_band",
     "trim_to_band",
-    "minimal_matching",
-    "enumerate_matchings",
     "all_matchings_bruteforce",
     "expand",
     "expand_band",

@@ -59,6 +59,9 @@ def test_rank_mismatch_raises():
         for make in (LP.x_var, LP.y_var, TropicalMonomial.generator):
             with pytest.raises(RankMismatch):
                 make(i, 2)
+        for sym in "xy":
+            with pytest.raises(RankMismatch):
+                LP.parse(f"{sym}{i}", 2)
     with pytest.raises(RankMismatch):
         SemifieldSpec.tropical(2, [(1, 2, 3), (0, 1)])
 

@@ -9,10 +9,8 @@ from clusterlab.snake import (
     all_matchings_bruteforce,
     build_band,
     build_snake,
-    enumerate_matchings,
     expand,
     expand_band,
-    minimal_matching,
     trim_to_band,
 )
 from clusterlab.surface import (
@@ -132,17 +130,17 @@ def test_debug_dump_golden():
 def test_single_tile_matchings():
     T = builtin_genus1()
     S = build_snake(T, ArcCrossing((1,)))
-    ms = enumerate_matchings(S)
+    ms = S.enumerate_masks()
     assert len(ms) == 2
-    weights = sorted(w.y_exps for _, w in ms)
+    weights = sorted(hv for _, hv in ms)
     assert weights == [(0, 0, 0, 0), (1, 0, 0, 0)]
-    m0 = minimal_matching(S)
+    m0 = S.minimal_mask()
     # the minimal matching is a pair of opposite tile edges and is the
     # unique matching of y-weight 1
     te = S.tile_edges[0]
-    assert m0.edges in ({te["S"], te["N"]}, {te["E"], te["W"]})
-    (flat,) = [m for m, w in ms if w.y_exps == (0, 0, 0, 0)]
-    assert flat.edges == m0.edges
+    assert m0 in (1 << te["S"] | 1 << te["N"], 1 << te["E"] | 1 << te["W"])
+    (flat,) = [m for m, hv in ms if hv == (0, 0, 0, 0)]
+    assert flat == m0
 
 
 def test_minimal_matching_two_tile_straight():
@@ -150,9 +148,9 @@ def test_minimal_matching_two_tile_straight():
     T = builtin_genus1()
     S = build_snake(T, ArcCrossing((1, 3)))
     assert len(all_matchings_bruteforce(S)) == 3
-    m0 = minimal_matching(S)
-    interior = {e.index for e in S.edges if len(e.tiles) == 2}
-    assert not (m0.edges & interior)
+    m0 = S.minimal_mask()
+    interior = sum(1 << e.index for e in S.edges if len(e.tiles) == 2)
+    assert not (m0 & interior)
 
 
 def test_three_tile_matching_counts():
@@ -161,44 +159,70 @@ def test_three_tile_matching_counts():
     T = builtin_genus1()
     straight = build_snake(T, ArcCrossing((1, 3, 4)))
     assert straight.glue_dirs[0] == straight.glue_dirs[1]
-    assert len(enumerate_matchings(straight)) == 5
+    assert len(straight.enumerate_masks()) == 5
     assert len(all_matchings_bruteforce(straight)) == 5
     stair = build_snake(T, ArcCrossing((1, 2, 3)))
     assert stair.glue_dirs[0] != stair.glue_dirs[1]
-    assert len(enumerate_matchings(stair)) == 4
+    assert len(stair.enumerate_masks()) == 4
     assert len(all_matchings_bruteforce(stair)) == 4
 
 
 def test_flip_bfs_equals_bruteforce_on_snakes():
     for S in fixture_snakes():
-        masks = sorted(S.mask_from_matching(m) for m, _ in enumerate_matchings(S))
+        masks = sorted(m for m, _ in S.enumerate_masks())
         assert masks == all_matchings_bruteforce(S)
+
+
+def test_flip_bfs_equals_bruteforce_on_random_walks():
+    # random arcs of length <= 8 at genus 1-3: a start triangle, then one
+    # side per step, never recrossing the arc just crossed
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    surfaces = {g: builtin_genus(g) for g in (1, 2, 3)}
+
+    def check(data):
+        T = surfaces[data.draw(st.integers(1, 3))]
+        tri0 = tri = data.draw(st.integers(0, len(T.triangles) - 1))
+        seq = ()
+        for _ in range(data.draw(st.integers(1, 8))):
+            sides = [s.index for s in T.triangles[tri] if s.is_arc and s.index not in seq[-1:]]
+            a = data.draw(st.sampled_from(sides))
+            seq, tri = seq + (a,), T.other_triangle(a, tri)
+        G = build_snake(T, ArcCrossing(seq, start_triangle=tri0))
+        ms = G.enumerate_masks()
+        assert sorted(m for m, _ in ms) == all_matchings_bruteforce(G)
+        assert sum(1 for _, hv in ms if not any(hv)) == 1
+        p = expand(G)
+        assert p.coefficients_positive()
+        assert p.f_polynomial().constant_term() == 1
+        # distinct matchings may share a monomial, so count with coefficients
+        assert sum(p.terms.values()) == len(ms)
+
+    hyp.settings(max_examples=100, deadline=None, database=None, derandomize=True)(
+        hyp.given(st.data())(check)
+    )()
 
 
 def test_exactly_one_minimal_and_maximal():
     for G in fixture_snakes() + fixture_bands():
-        ms = enumerate_matchings(G)
-        minimals = [m for m, w in ms if all(e == 0 for e in w.y_exps)]
+        ms = G.enumerate_masks()
+        minimals = [m for m, hv in ms if not any(hv)]
         assert len(minimals) == 1
-        maximals = [
-            m
-            for m, _ in ms
-            if not any(up for _, _, up in G.flips(G.mask_from_matching(m)))
-        ]
+        maximals = [m for m, _ in ms if not any(up for _, _, up in G.flips(m))]
         assert len(maximals) == 1
-        assert minimal_matching(G).edges == minimals[0].edges
+        assert G.minimal_mask() == minimals[0]
 
 
 def test_band_good_matchings_subset_of_all():
     for G in fixture_bands():
-        good = {G.mask_from_matching(m) for m, _ in enumerate_matchings(G)}
+        good = {m for m, _ in G.enumerate_masks()}
         assert good <= set(all_matchings_bruteforce(G))
 
 
 def test_annulus_band_excludes_winding_matchings():
     A = annulus_fixture()
     band = build_band(A, LoopCrossing((1, 2)))
-    assert len(enumerate_matchings(band)) == 3
+    assert len(band.enumerate_masks()) == 3
     assert len(all_matchings_bruteforce(band)) == 5
 
 
@@ -213,9 +237,9 @@ def test_single_crossing_formula():
         labels = S.tiles[0].edge_labels
         xw = {d: (LP.x_var(s.index, 4) if s.is_arc else LP.one(4)) for d, s in labels.items()}
         te = S.tile_edges[0]
-        m0 = minimal_matching(S).edges
-        low = [d for d in "SENW" if te[d] in m0]
-        high = [d for d in "SENW" if te[d] not in m0]
+        m0 = S.minimal_mask()
+        low = [d for d in "SENW" if m0 >> te[d] & 1]
+        high = [d for d in "SENW" if not m0 >> te[d] & 1]
         num = xw[low[0]] * xw[low[1]] + LP.y_var(k, 4) * xw[high[0]] * xw[high[1]]
         denom = LP.monomial(4, 4, 1, [-1 if i == k else 0 for i in range(1, 5)])
         assert expand(S) == num * denom
@@ -270,8 +294,9 @@ def test_band_start_triangle_irrelevant_for_boundary_loop():
 def test_deterministic_enumeration_order():
     T = builtin_genus1()
     S = build_snake(T, ArcCrossing((4, 2, 1, 4)))
-    a = [(sorted(m.edges), w) for m, w in enumerate_matchings(S)]
-    b = [(sorted(m.edges), w) for m, w in enumerate_matchings(build_snake(T, ArcCrossing((4, 2, 1, 4))))]
+    a = [(m, S.mask_x_exps(m), hv) for m, hv in S.enumerate_masks()]
+    S2 = build_snake(T, ArcCrossing((4, 2, 1, 4)))
+    b = [(m, S2.mask_x_exps(m), hv) for m, hv in S2.enumerate_masks()]
     assert a == b
 
 
