@@ -4,18 +4,23 @@ Construction.  Crossing the arcs t_{i_1}, ..., t_{i_d} in order traverses a
 strip of triangles D_0, ..., D_d; tile j is the quadrilateral around the
 j-th crossed arc, straightened into a unit square whose conceptual corners
 (c1, c2, c3, c4) run counterclockwise with the crossed arc on the diagonal
-c1-c3.  The backward triangle D_{j-1} covers sides c1c2, c2c3 and the
-forward triangle D_j covers c3c4, c4c1; which of a triangle's two free
-sides is the glue edge is read off the triangle's counterclockwise cyclic
-order ("turn type").  Each tile is drawn by one of the eight dihedral
-placements of the quadrilateral, constrained so that the incoming glue edge
-sits on the south or west side and the outgoing glue edge on the north or
-east side; the first legal placement in a fixed preference order is taken,
-which pins the graph up to a global reflection that perfect-matching
-polynomials cannot see.
+c1-c3.  The backward triangle D_{j-1} covers sides s12 = c1c2, s23 = c2c3
+and the forward triangle D_j covers s34, s41; the glue edge to the previous
+tile is s12 when D_{j-1} turns R and s23 when it turns L, and the glue edge
+to the next tile is s41 after an R turn of D_j and s34 after an L turn (see
+`surface.turn`).  Tiles are laid out in one pass, each from the direction
+the previous one was left in: with the sides S, E, N, W counterclockwise,
+tile j puts s12, s23, s34, s41 at the rotation r + sign*i (i = 0..3), where
+the incoming glue edge faces the previous tile (S if that was left north, W
+if east) and sign = +1 unless that would make the tile exit south or west,
+in which case sign = -1.  The first tile of a snake takes sign = +1 and
+leaves east.  This pins the graph up to a global reflection that
+perfect-matching polynomials cannot see.
 
-Band graphs identify the spare glue edge of the last tile with the spare
-glue edge of the first tile, matching the corners that touch the diagonals.
+A band graph's first tile is entered from the east, so it closes up exactly
+when its last tile is left east too; it then identifies the spare east side
+of the last tile with the west side of the first, matching the corners that
+touch the diagonals.
 
 Matchings.  All perfect matchings of a snake graph, and exactly the good
 matchings of a band graph, are enumerated as the flip closure of the
@@ -38,29 +43,15 @@ from dataclasses import dataclass, field
 
 from .algebra import LaurentPolynomial, term_codec
 from .errors import ClusterlabError
-from .surface import LoopCrossing, SideRef, SurfaceError, sides_after, turn
+from .surface import LoopCrossing, SurfaceError, sides_after, turn
 
 
 class SnakeError(ClusterlabError):
     pass
 
 
-# The eight placements of the quadrilateral: where each conceptual side
-# lands, and where the diagonal corners c1, c3 land.  P* preserve the
-# surface orientation, M* reverse it.
-_DRAWINGS = {
-    "P0": (+1, {"s12": "S", "s23": "E", "s34": "N", "s41": "W"}, ("SW", "NE")),
-    "P1": (+1, {"s12": "E", "s23": "N", "s34": "W", "s41": "S"}, ("SE", "NW")),
-    "P2": (+1, {"s12": "N", "s23": "W", "s34": "S", "s41": "E"}, ("NE", "SW")),
-    "P3": (+1, {"s12": "W", "s23": "S", "s34": "E", "s41": "N"}, ("NW", "SE")),
-    "M0": (-1, {"s12": "W", "s23": "N", "s34": "E", "s41": "S"}, ("SW", "NE")),
-    "M1": (-1, {"s12": "S", "s23": "W", "s34": "N", "s41": "E"}, ("SE", "NW")),
-    "M2": (-1, {"s12": "E", "s23": "S", "s34": "W", "s41": "N"}, ("NE", "SW")),
-    "M3": (-1, {"s12": "N", "s23": "E", "s34": "S", "s41": "W"}, ("NW", "SE")),
-}
-
-_PREF = ("P2", "P3", "P0", "P1", "M1", "M0", "M2", "M3")
-
+# Tile sides in counterclockwise order.
+_DIRS = ("S", "E", "N", "W")
 _CORNER_OFFSETS = {"SW": (0, 0), "SE": (1, 0), "NE": (1, 1), "NW": (0, 1)}
 _EDGE_CORNERS = {"S": ("SW", "SE"), "E": ("SE", "NE"), "N": ("NW", "NE"), "W": ("SW", "NW")}
 
@@ -94,105 +85,58 @@ class _Edge:
         return f"_Edge({self.index}, {self.label}, tiles={self.tiles})"
 
 
-class _TileSpec:
-    """Side content of one tile before a drawing is chosen."""
-
-    __slots__ = ("diag", "slots", "sin_slot", "sout_slot")
-
-    def __init__(self, diag, slots, sin_slot, sout_slot):
-        self.diag = diag
-        self.slots = slots  # {"s12": SideRef, ...}
-        self.sin_slot = sin_slot  # slot holding the incoming glue edge, or None
-        self.sout_slot = sout_slot  # slot holding the outgoing glue edge, or None
+def _shared_corner(a, b):
+    (corner,) = set(_EDGE_CORNERS[a]) & set(_EDGE_CORNERS[b])
+    return corner
 
 
-def _tile_specs(T, crossings, walk, loop):
+def _lay_out(T, crossings, walk, loop):
+    """Draw every tile in one pass; returns (tiles, glue_dirs) where
+    glue_dirs[j] joins tile j to tile j+1 (a band's wrap, always W to E,
+    is not included)."""
     d = len(crossings)
-    specs = []
-    for j in range(d):
-        tri_b = T.triangles[walk[j]]
-        tri_f = T.triangles[walk[j + 1]]
-        slots = {}
-        if not loop and j == 0:
-            slots["s12"], slots["s23"] = sides_after(tri_b, crossings[0])
-            sin_slot = None
+    # turns[j]: the turn of the triangle between crossings j and j+1
+    turns = [
+        turn(T.triangles[walk[j + 1]], crossings[j], crossings[(j + 1) % d])[0]
+        for j in range(d if loop else d - 1)
+    ]
+    tiles, exits = [], []
+    grid = (0, 0)
+    for j, c in enumerate(crossings):
+        tri_b, tri_f = T.triangles[walk[j]], T.triangles[walk[j + 1]]
+        sides = sides_after(tri_b, c) + sides_after(tri_f, c)  # s12 s23 s34 s41
+        # slots of the incoming and outgoing glue edges, which carry the
+        # third sides of the turning triangles
+        a = (0 if turns[j - 1] == "R" else 1) if loop or j else None
+        b = (3 if turns[j] == "R" else 2) if j < len(turns) else None
+        if a is None:
+            sign, r = 1, (3 if b == 2 else 2)  # leave east
         else:
-            prev = crossings[(j - 1) % d]
-            t, sigma = turn(tri_b, prev, crossings[j])
-            if t == "R":
-                slots["s12"], slots["s23"] = sigma, SideRef("A", prev)
-                sin_slot = "s12"
-            else:
-                slots["s12"], slots["s23"] = SideRef("A", prev), sigma
-                sin_slot = "s23"
-        if not loop and j == d - 1:
-            slots["s34"], slots["s41"] = sides_after(tri_f, crossings[j])
-            sout_slot = None
-        else:
-            nxt = crossings[(j + 1) % d]
-            t, sigma = turn(tri_f, crossings[j], nxt)
-            if t == "R":
-                slots["s34"], slots["s41"] = SideRef("A", nxt), sigma
-                sout_slot = "s41"
-            else:
-                slots["s34"], slots["s41"] = sigma, SideRef("A", nxt)
-                sout_slot = "s34"
-        specs.append(_TileSpec(crossings[j], slots, sin_slot, sout_slot))
-    return specs
-
-
-def _choose_drawing(spec, in_dir):
-    """First legal placement in preference order.  `in_dir` is the direction
-    the previous tile was left in ("N" means this tile sits north of it), or
-    None when unconstrained."""
-    for name in _PREF:
-        _, pos, _ = _DRAWINGS[name]
-        if spec.sin_slot is not None and in_dir is not None:
-            if pos[spec.sin_slot] != ("S" if in_dir == "N" else "W"):
-                continue
-        if spec.sout_slot is not None and pos[spec.sout_slot] not in ("N", "E"):
-            continue
-        return name
-    raise SnakeError("no legal tile drawing (inconsistent glue constraints)")
-
-
-def _lay_out(specs, loop):
-    """Choose drawings and grid positions for all tiles; returns
-    (drawings, grids, glue_dirs) where glue_dirs[j] joins tile j to j+1
-    (cyclically for bands, whose last entry is the wrap)."""
-    d = len(specs)
-
-    def walk_from(first_drawing):
-        drawings = [first_drawing]
-        grids = [(0, 0)]
-        dirs = []
-        for j in range(1, d):
-            _, pos, _ = _DRAWINGS[drawings[-1]]
-            out = pos[specs[j - 1].sout_slot]
-            x, y = grids[-1]
-            grids.append((x + 1, y) if out == "E" else (x, y + 1))
-            dirs.append(out)
-            drawings.append(_choose_drawing(specs[j], in_dir=out))
-        if specs[-1].sout_slot is not None:
-            _, pos, _ = _DRAWINGS[drawings[-1]]
-            dirs.append(pos[specs[-1].sout_slot])
-        return drawings, grids, dirs
-
-    if not loop:
-        first = _choose_drawing(specs[0], in_dir=None)
-        return walk_from(first)
-
-    # The first tile's incoming side dictates the wrap direction the last
-    # tile must produce; flipping the choice mirrors the whole layout.
-    for want in ("E", "N"):
-        try:
-            first = _choose_drawing(specs[0], in_dir=want)
-        except SnakeError:
-            continue
-        drawings, grids, dirs = walk_from(first)
-        if dirs[-1] == want:
-            return drawings, grids, dirs
-    raise SnakeError("band drawing does not close up (odd turn parity)")
+            # slot a faces the previous tile: S if that was left N, W if left
+            # E (a band's first tile is entered from E)
+            p = 0 if exits and exits[-1] == "N" else 3
+            sign, r = 1, p - a
+            if b is not None and (r + b) % 4 in (0, 3):
+                sign, r = -1, p + a
+        at = [_DIRS[(r + sign * i) % 4] for i in range(4)]
+        if j:
+            grid = (grid[0] + 1, grid[1]) if exits[-1] == "E" else (grid[0], grid[1] + 1)
+        if b is not None:
+            exits.append(at[b])
+        tiles.append(
+            Tile(
+                position=j + 1,
+                grid=grid,
+                diagonal=c,
+                labels=tuple((dr, sides[at.index(dr)]) for dr in _DIRS),
+                sign=sign,
+                diag_corners=(_shared_corner(at[3], at[0]), _shared_corner(at[1], at[2])),
+                hor_is_a=r % 2 == 0,
+            )
+        )
+    if loop and exits[-1] != "E":
+        raise SnakeError("band drawing does not close up (odd turn parity)")
+    return tiles, exits[: d - 1]
 
 
 class MatchingGraph:
@@ -223,12 +167,10 @@ class MatchingGraph:
         seg_edge = {}
         edges = []
 
-        def add_segment(tile_idx, direction):
-            tile = self.tiles[tile_idx]
+        def add_segment(tile_idx, tile, direction, label):
             c1, c2 = _EDGE_CORNERS[direction]
             p1, p2 = self._corner(tile, c1), self._corner(tile, c2)
             seg = (min(p1, p2), max(p1, p2))
-            label = tile.edge_labels[direction]
             if seg in seg_edge:
                 e = seg_edge[seg]
                 if e.label != label:
@@ -243,9 +185,10 @@ class MatchingGraph:
             e.tiles.append((tile_idx, direction))
             return e
 
-        tile_edges = []
-        for jj in range(d):
-            tile_edges.append({dr: add_segment(jj, dr) for dr in "SENW"})
+        tile_edges = [
+            {dr: add_segment(jj, tile, dr, label) for dr, label in tile.labels}
+            for jj, tile in enumerate(self.tiles)
+        ]
 
         first_dir = "S" if self.wrap is None else self.wrap[0]
         seed = _alternating_boundary_matching(edges, tile_edges[0][first_dir])
@@ -470,34 +413,11 @@ def _alternating_boundary_matching(edges, start):
     return set(cycle[0::2])
 
 
-def _make_tiles(specs, drawings, grids):
-    tiles = []
-    for j, (spec, name, grid) in enumerate(zip(specs, drawings, grids)):
-        sign, pos, diag_corners = _DRAWINGS[name]
-        slot_at = {p: s for s, p in pos.items()}
-        labels = tuple((dr, spec.slots[slot_at[dr]]) for dr in "SENW")
-        tiles.append(
-            Tile(
-                position=j + 1,
-                grid=grid,
-                diagonal=spec.diag,
-                labels=labels,
-                sign=sign,
-                diag_corners=diag_corners,
-                hor_is_a={pos["s12"], pos["s34"]} == {"S", "N"},
-            )
-        )
-    return tiles
-
-
 def build_snake(T, crossing):
     """Snake graph of an arc: one tile per crossing."""
     seq = tuple(crossing.sequence)
     walk = T.triangle_walk(seq, crossing.start_triangle)
-    specs = _tile_specs(T, seq, walk, loop=False)
-    drawings, grids, dirs = _lay_out(specs, loop=False)
-    tiles = _make_tiles(specs, drawings, grids)
-    return MatchingGraph(T, seq, walk, tiles, dirs)
+    return MatchingGraph(T, seq, walk, *_lay_out(T, seq, walk, loop=False))
 
 
 def build_band(T, loop, start_triangle=None):
@@ -511,12 +431,7 @@ def build_band(T, loop, start_triangle=None):
         raise SnakeError(
             f"loop {seq} does not validate against the triangulation"
         ) from exc
-    specs = _tile_specs(T, seq, walk, loop=True)
-    drawings, grids, dirs = _lay_out(specs, loop=True)
-    tiles = _make_tiles(specs, drawings, grids)
-    _, pos0, _ = _DRAWINGS[drawings[0]]
-    wrap = (pos0[specs[0].sin_slot], dirs[-1])
-    return MatchingGraph(T, seq, walk, tiles, dirs[:-1], wrap)
+    return MatchingGraph(T, seq, walk, *_lay_out(T, seq, walk, loop=True), ("W", "E"))
 
 
 def trim_to_band(S):

@@ -159,7 +159,10 @@ def zigzag_v_arcs(g):
     length = 6 * g - 2
     # One pass serves both searches: the boundary triangle holds exactly arcs
     # 4g and 4g-1.  Glue directions alternate exactly when every triangle turns
-    # the same way; the built snake's glue directions cross-check that pruning.
+    # the same way.  The snake layout derives its glue directions from the same
+    # turn types, so checking them here compares the layout's turn rule with
+    # the search's turn pruning; the exhaustive search in the tests is the
+    # independent oracle.
     found = {}
     for _, seq, walk in T.arc_walks(length, start=btri, same_turn=True):
         if len(seq) == length and walk[-1] == btri and seq[-1] == seq[0]:

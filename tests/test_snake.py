@@ -20,6 +20,7 @@ from clusterlab.surface import (
     builtin_genus,
     builtin_genus1,
     builtin_genus2,
+    turn,
 )
 
 
@@ -95,6 +96,30 @@ def test_build_band_rejects_invalid_loops(seq, start):
     T = builtin_genus1()
     with pytest.raises(SnakeError, match=r"does not validate against the triangulation"):
         build_band(T, LoopCrossing(seq), start_triangle=start)
+
+
+def test_band_with_odd_turn_parity_is_an_error():
+    with pytest.raises(SnakeError, match=r"does not close up \(odd turn parity\)"):
+        build_band(builtin_genus1(), LoopCrossing((1, 4, 3)))
+
+
+def test_glue_dirs_follow_the_turn_rule():
+    # The first glue edge leaves east, and the glue direction changes at a
+    # triangle exactly when it turns the same way as the triangle before it.
+    n_walks = 0
+    for g in (1, 2, 3):
+        T = builtin_genus(g)
+        for t0, seq, walk in T.arc_walks(6):
+            if len(seq) < 2:
+                continue
+            n_walks += 1
+            dirs = build_snake(T, ArcCrossing(seq, start_triangle=t0)).glue_dirs
+            assert dirs[0] == "E"
+            turns = [turn(T.triangles[walk[j + 1]], seq[j], seq[j + 1])[0]
+                     for j in range(len(seq) - 1)]
+            for j in range(len(dirs) - 1):
+                assert (dirs[j] != dirs[j + 1]) == (turns[j] == turns[j + 1]), (g, t0, seq)
+    assert n_walks == 2974
 
 
 def test_glue_labels_match_third_sides():

@@ -265,6 +265,7 @@ def test_typed_errors_share_one_base_class():
         ("expand --surface not-json.txt --arc 1", "malformed surface file 'not-json.txt'"),
         ("mutate --surface invalid.json --seq 1", "invalid surface 'invalid.json': arc index A7"),
         ("expand --surface genus1 --arc 1 --loop", "band graphs need at least two tiles"),
+        ("expand --surface genus1 --arc 1,4,3 --loop", "does not close up (odd turn parity)"),
         (
             "expand --surface genus1 --arc 2,1 --loop --start-triangle 7",
             "--start-triangle applies to arcs, not to --loop",
