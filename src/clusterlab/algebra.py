@@ -530,7 +530,7 @@ class LaurentPolynomial:
         for t in data["terms"]:
             key = tuple(t["x"]) + tuple(t["y"])
             if len(key) != nx + ny:
-                raise ValueError("exponent vector has wrong length")
+                raise RankMismatch(f"exponent vector {key} is not of length {nx + ny}")
             terms[key] = terms.get(key, 0) + int(t["coeff"])
         return cls(nx, ny, terms)
 

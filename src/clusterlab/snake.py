@@ -22,13 +22,31 @@ when its last tile is left east too; it then identifies the spare east side
 of the last tile with the west side of the first, matching the corners that
 touch the diagonals.
 
-Matchings.  All perfect matchings of a snake graph, and exactly the good
-matchings of a band graph, are enumerated as the flip closure of the
-minimal matching; a tile flips when both its horizontal or both its
-vertical edges are matched.  A flip raises the tile's height by one when
-the matched pair consists of the sides {c2c3, c4c1} of the conceptual
-quadrilateral (the sides adjacent to the glue edges), and lowers it when
-it consists of {c1c2, c3c4}; the minimal matching is the unique
+Matchings.  The expansion is one frontier dynamic program over the raw
+edge segments in tile order, with a band cut open at its wrap: the wrap
+edge takes part as its two segments, the west side of the first tile and
+the east side of the last.  The state is the set of covered vertices that
+still have segments to come, and a vertex leaves it after its last segment,
+covered.  The value is a map {packed term key: coefficient}, and taking a
+segment shifts every key by its edge's offset, the x-field unit of an arc
+label.  The good matchings of a band are exactly the perfect matchings of
+the cut graph that take at least one copy of the wrap edge (Musiker,
+Schiffler and Williams, arXiv:1110.4364); one state bit records that a copy
+was taken, and the wrap's label is counted once.  Heights follow a ray
+rule.  Tiles step only north or east, so a ray leaving tile j through a
+boundary side f_j (a side of tile j alone) meets no other tile, and tile j
+lies inside P - P_min, the symmetric difference with the minimal matching,
+exactly when f_j is in exactly one of P and P_min.  So every tile height is
+0 or 1: f_j adds y_{i_j} if it is not in P_min, and otherwise subtracts it
+from a start key that holds one y_{i_j}.
+
+Flip enumeration is the oracle.  `enumerate_masks` lists all perfect
+matchings of a snake graph, and the good matchings of a band graph, as the
+flip closure of the minimal matching; a tile flips when both its horizontal
+or both its vertical edges are matched.  A flip raises the tile's height by
+one when the matched pair consists of the sides {c2c3, c4c1} of the
+conceptual quadrilateral (the sides adjacent to the glue edges), and lowers
+it when it consists of {c1c2, c3c4}; the minimal matching is the unique
 flip-source.  It is found by descending from a seed: the alternating
 matching of the boundary cycle through the first tile's incoming side,
 taken on the graph before a band's wrap is glued and carried across the
@@ -41,7 +59,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .algebra import LaurentPolynomial, term_codec
+from .algebra import LaurentPolynomial, _add_into, term_codec
 from .errors import ClusterlabError
 from .surface import LoopCrossing, SurfaceError, sides_after, turn
 
@@ -141,8 +159,8 @@ def _lay_out(T, crossings, walk, loop):
 
 class MatchingGraph:
     """A snake graph (`wrap` is None) or a band graph (`wrap` names the
-    glued sides of the first and last tiles), with the tile structure
-    needed for flip enumeration."""
+    glued sides of the first and last tiles), with the segments the
+    expansion runs over and the tile structure of flip enumeration."""
 
     def __init__(self, T, crossings, walk, tiles, glue_dirs, wrap=None):
         self.triangulation = T
@@ -164,7 +182,7 @@ class MatchingGraph:
     def _build(self):
         d = len(self.tiles)
         glued = {}  # first-tile corner -> last-tile corner it is glued to
-        seg_edge = {}
+        seg_edge = {}  # raw segment -> edge, in tile order
         edges = []
 
         def add_segment(tile_idx, tile, direction, label):
@@ -220,6 +238,7 @@ class MatchingGraph:
             for i, e in enumerate(edges):
                 e.index = i
             tile_edges[0][first_dir] = e_last
+            seg_edge[e_first.segments[0]] = e_last
             # The seed held e_first; its vertices are now e_last's, which
             # the seed covers either by e_last itself or by its neighbours.
             seed.discard(e_first)
@@ -231,6 +250,8 @@ class MatchingGraph:
             e.vertices = frozenset(vs)
 
         self.edges = edges
+        # the graph cut open at a band's wrap: (segment, edge index) pairs
+        self.segments = [(seg, e.index) for seg, e in seg_edge.items()]
         self._seed = sum(1 << e.index for e in seed)
         self.tile_edges = [
             {dr: e.index for dr, e in te.items()} for te in tile_edges
@@ -487,31 +508,64 @@ def expand_band(Bd, coeffs="principal"):
     return _expansion(Bd, coeffs)
 
 
+def _put(states, s, terms):
+    """Add the term map `terms` into the value of state `s`."""
+    cur = states.get(s)
+    if cur is None:
+        states[s] = terms
+    else:
+        _add_into(cur, terms)
+
+
 def _expansion(G, coeffs):
+    """Frontier dynamic program over the edges of the graph cut open at a
+    band's wrap, in tile order; see "Matchings" in the module docstring."""
     if coeffs not in ("principal", "trivial"):
-        raise ValueError("coeffs must be 'principal' or 'trivial'")
+        raise SnakeError(f"coeffs must be 'principal' or 'trivial', not {coeffs!r}")
     n = G.n_arcs
-    principal = coeffs == "principal"
-    ny = n if principal else 0
-    denom = [0] * (n + ny)
-    for a in G.crossings:
-        denom[a - 1] += 1
-    # Pack the raw edge counts and heights, then move every field to its
-    # biased exponent with one integer: x_a^(count - crossings of a).
-    codec = term_codec(n + ny)
-    pack = codec.struct.pack
-    offset = codec.zero - codec.raw(denom)
-    masks = G.enumerate_masks()
-    terms = {}
-    for mask, hv in masks:
-        xe = G.mask_x_exps(mask)
-        key = int.from_bytes(pack(*xe, *hv) if principal else pack(*xe), "big") + offset
-        terms[key] = terms.get(key, 0) + 1
-    # An edge count is at most len(G.edges) and a denominator at most
-    # len(G.crossings); a height moves by one per flip away from the minimal
-    # matching, so it is below the number of matchings.
-    bound = max(len(G.edges), len(G.crossings), len(masks))
-    return LaurentPolynomial.from_packed(n, ny, terms, bound)
+    ny = n if coeffs == "principal" else 0
+    # unit[i]: the key offset of exponent field i (x1..xn, then y1..yn)
+    unit = [1 << 32 * (n + ny - 1 - i) for i in range(n + ny)]
+    offset = [unit[e.label.index - 1] if e.label.is_arc else 0 for e in G.edges]
+    start = term_codec(n + ny).zero - sum(unit[a - 1] for a in G.crossings)
+    if ny:
+        m0 = G.minimal_mask()
+        for j, tile in enumerate(G.tiles):
+            f = next(i for i in G.tile_edges[j].values() if len(G.edges[i].tiles) == 1)
+            y = unit[n + tile.diagonal - 1]
+            if m0 >> f & 1:
+                start += y
+                offset[f] -= y
+            else:
+                offset[f] += y
+    wrap = None
+    if G.wrap is not None:
+        wrap = G.tile_edges[0][G.wrap[0]]
+        start -= offset[wrap]
+
+    # One step per raw segment, in tile order: (vertex bits, key offset, wrap
+    # copy?, vertices seen for the last time).  Bit 0 of a state records
+    # that a wrap copy was taken.
+    steps, vbit, last = [], {}, {}
+    for k, ((p, q), i) in enumerate(G.segments):
+        bp = vbit.setdefault(p, 2 << len(vbit))
+        bq = vbit.setdefault(q, 2 << len(vbit))
+        last[p] = last[q] = k
+        steps.append([bp | bq, offset[i], i == wrap, 0])
+    for p, k in last.items():
+        steps[k][3] |= vbit[p]
+
+    states = {0: {start: 1}}
+    for bits, off, is_wrap, done in steps:
+        nxt = {}
+        for s, terms in states.items():
+            if not s & bits:  # take the segment
+                _put(nxt, s | bits | is_wrap, {k + off: c for k, c in terms.items()})
+            _put(nxt, s, terms)  # leave it out; `terms` is not read again
+        states = {s ^ done: v for s, v in nxt.items() if s & done == done} if done else nxt
+    terms = states.get(0 if wrap is None else 1, {})
+    # Every tile height is 0 or 1 and every edge count at most len(G.edges).
+    return LaurentPolynomial.from_packed(n, ny, terms, max(len(G.edges), len(G.crossings)))
 
 
 __all__ = [

@@ -64,6 +64,8 @@ def test_rank_mismatch_raises():
                 LP.parse(f"{sym}{i}", 2)
     with pytest.raises(RankMismatch):
         SemifieldSpec.tropical(2, [(1, 2, 3), (0, 1)])
+    with pytest.raises(RankMismatch):
+        LP.from_json_dict({"nx": 2, "ny": 2, "terms": [{"x": [1], "y": [0, 0], "coeff": 1}]})
 
 
 def test_ring_laws_random():

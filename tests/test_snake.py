@@ -3,6 +3,7 @@ import json
 import pytest
 
 from clusterlab.algebra import LaurentPolynomial as LP
+from clusterlab.algebra import chebyshev, term_codec
 from clusterlab.mutation import initial_seed, mutate
 from clusterlab.snake import (
     SnakeError,
@@ -22,6 +23,36 @@ from clusterlab.surface import (
     builtin_genus2,
     turn,
 )
+
+
+def _flip_expansion(G, coeffs):
+    """The oracle for `expand`/`expand_band`: sum x(P) y(P) over the flip
+    enumeration, each matching's x-exponents read off its mask."""
+    n = G.n_arcs
+    ny = n if coeffs == "principal" else 0
+    codec = term_codec(n + ny)
+    denom = [0] * n
+    for a in G.crossings:
+        denom[a - 1] += 1
+    terms = {}
+    masks = G.enumerate_masks()
+    for mask, hv in masks:
+        xe = [c - dn for c, dn in zip(G.mask_x_exps(mask), denom)]
+        key = codec.pack(xe + list(hv[:ny]))
+        terms[key] = terms.get(key, 0) + 1
+    return LP.from_packed(n, ny, terms, max(len(G.edges), len(G.crossings), len(masks)))
+
+
+def _random_arc(data, st, T):
+    """A random crossing sequence of length <= 8 and its start triangle: one
+    side per step, never recrossing the arc just crossed."""
+    tri0 = tri = data.draw(st.integers(0, len(T.triangles) - 1))
+    seq = ()
+    for _ in range(data.draw(st.integers(1, 8))):
+        sides = [s.index for s in T.triangles[tri] if s.is_arc and s.index not in seq[-1:]]
+        a = data.draw(st.sampled_from(sides))
+        seq, tri = seq + (a,), T.other_triangle(a, tri)
+    return ArcCrossing(seq, start_triangle=tri0)
 
 
 def fixture_snakes():
@@ -207,13 +238,7 @@ def test_flip_bfs_equals_bruteforce_on_random_walks():
 
     def check(data):
         T = surfaces[data.draw(st.integers(1, 3))]
-        tri0 = tri = data.draw(st.integers(0, len(T.triangles) - 1))
-        seq = ()
-        for _ in range(data.draw(st.integers(1, 8))):
-            sides = [s.index for s in T.triangles[tri] if s.is_arc and s.index not in seq[-1:]]
-            a = data.draw(st.sampled_from(sides))
-            seq, tri = seq + (a,), T.other_triangle(a, tri)
-        G = build_snake(T, ArcCrossing(seq, start_triangle=tri0))
+        G = build_snake(T, _random_arc(data, st, T))
         ms = G.enumerate_masks()
         assert sorted(m for m, _ in ms) == all_matchings_bruteforce(G)
         assert sum(1 for _, hv in ms if not any(hv)) == 1
@@ -338,3 +363,97 @@ def test_boundary_loop_f_polynomial_constant_term():
     f = L.f_polynomial()
     assert f.constant_term() == 1
     assert f.coefficients_positive()
+
+
+# -- the frontier engine against the flip-enumeration oracle --------------------
+
+
+def _trimmed(S):
+    try:
+        return trim_to_band(S)
+    except SnakeError:
+        return None
+
+
+def test_expansion_equals_flip_enumeration():
+    graphs = fixture_bands()
+    for g in (1, 2):
+        T = builtin_genus(g)
+        for t0, seq, _ in T.arc_walks(6):
+            S = build_snake(T, ArcCrossing(seq, start_triangle=t0))
+            graphs.append(S)
+            if len(seq) >= 3 and seq[0] == seq[-1]:
+                graphs.extend(B for B in [_trimmed(S)] if B is not None)
+    # 10 fixture bands, 270 + 1006 snakes and 36 trimmed bands
+    assert (len(graphs), sum(G.wrap is not None for G in graphs)) == (1322, 46)
+    for G in graphs:
+        run = expand if G.wrap is None else expand_band
+        for coeffs in ("principal", "trivial"):
+            assert run(G, coeffs) == _flip_expansion(G, coeffs), (G.crossings, coeffs)
+
+
+@pytest.mark.parametrize(
+    "k, good, perfect", [(1, 3, 5), (2, 7, 9), (3, 18, 20), (4, 47, None), (5, 123, None)]
+)
+def test_annulus_good_matchings_are_the_cut_rule(k, good, perfect):
+    # A good matching of a band is a perfect matching of the graph cut open
+    # at the wrap that takes at least one copy of the wrap edge; the
+    # winding perfect matchings of the glued band are not counted.
+    B = build_band(annulus_fixture(), LoopCrossing((1, 2)).repeated(k))
+    assert sum(expand_band(B, "trivial").terms.values()) == good
+    assert len(B.enumerate_masks()) == good
+    if perfect is not None:
+        assert len(all_matchings_bruteforce(B)) == perfect
+
+
+@pytest.mark.parametrize("k, matchings, terms", [(5, 55449, 537), (6, 492802, 969)])
+def test_large_genus1_bracelets_are_chebyshev(k, matchings, terms):
+    T = builtin_genus1()
+    loop = T.boundary_loop()
+    L = expand_band(build_band(T, loop), "trivial")
+    Lk = expand_band(build_band(T, loop.repeated(k)), "trivial")
+    assert (sum(Lk.terms.values()), len(Lk.terms)) == (matchings, terms)
+    assert Lk == chebyshev(k, L)
+
+
+def test_expansion_equals_oracles_on_random_graphs():
+    # random arcs and trimmed bands at genus 1-3: the engine equals the flip
+    # oracle, and its trivial-coefficient sum counts the matchings
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    surfaces = {g: builtin_genus(g) for g in (1, 2, 3)}
+    bands = [
+        B
+        for T in surfaces.values()
+        for t0, seq, _ in T.arc_walks(8)
+        if len(seq) >= 3 and seq[0] == seq[-1]
+        for B in [_trimmed(build_snake(T, ArcCrossing(seq, start_triangle=t0)))]
+        if B is not None
+    ]
+    assert len(bands) == 160
+
+    def check(data):
+        if data.draw(st.booleans()):
+            G = data.draw(st.sampled_from(bands))
+            count = len(G.enumerate_masks())
+            assert count <= len(all_matchings_bruteforce(G))
+        else:
+            T = surfaces[data.draw(st.integers(1, 3))]
+            G = build_snake(T, _random_arc(data, st, T))
+            count = len(all_matchings_bruteforce(G))
+        run = expand if G.wrap is None else expand_band
+        for coeffs in ("principal", "trivial"):
+            p = run(G, coeffs)
+            assert p == _flip_expansion(G, coeffs)
+            assert sum(p.terms.values()) == count
+
+    hyp.settings(max_examples=100, deadline=None, database=None, derandomize=True)(
+        hyp.given(st.data())(check)
+    )()
+
+
+def test_unknown_coefficient_mode_is_a_snake_error():
+    S = build_snake(builtin_genus1(), ArcCrossing((1,)))
+    for run in (expand, expand_band):
+        with pytest.raises(SnakeError, match="coeffs must be 'principal' or 'trivial'"):
+            run(S, "bogus")
