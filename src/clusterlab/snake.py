@@ -17,28 +17,35 @@ in which case sign = -1.  The first tile of a snake takes sign = +1 and
 leaves east.  This pins the graph up to a global reflection that
 perfect-matching polynomials cannot see.
 
-A band graph's first tile is entered from the east, so it closes up exactly
-when its last tile is left east too; it then identifies the spare east side
-of the last tile with the west side of the first, matching the corners that
-touch the diagonals.
+A band graph's first tile is entered on W, as if the tile before it was
+left east, so it closes up exactly when its last tile is left east; it then
+identifies the spare east side of the last tile with the west side of the
+first, matching the corners that touch the diagonals.
 
-Matchings.  The expansion is one frontier dynamic program over the raw
-edge segments in tile order, with a band cut open at its wrap: the wrap
-edge takes part as its two segments, the west side of the first tile and
-the east side of the last.  The state is the set of covered vertices that
-still have segments to come, and a vertex leaves it after its last segment,
-covered.  The value is a map {packed term key: coefficient}, and taking a
-segment shifts every key by its edge's offset, the x-field unit of an arc
-label.  The good matchings of a band are exactly the perfect matchings of
-the cut graph that take at least one copy of the wrap edge (Musiker,
-Schiffler and Williams, arXiv:1110.4364); one state bit records that a copy
-was taken, and the wrap's label is counted once.  Heights follow a ray
-rule.  Tiles step only north or east, so a ray leaving tile j through a
-boundary side f_j (a side of tile j alone) meets no other tile, and tile j
-lies inside P - P_min, the symmetric difference with the minimal matching,
-exactly when f_j is in exactly one of P and P_min.  So every tile height is
-0 or 1: f_j adds y_{i_j} if it is not in P_min, and otherwise subtracts it
-from a start key that holds one y_{i_j}.
+Matchings.  The expansion is a transfer program with one step per tile that
+reads only the layout: labels, `hor_is_a`, diagonals, glue directions and
+the wrap.  Its state is the covered bits of the corners of the tile's
+outgoing glue side, its value a map {packed term key: coefficient}.  A tile
+is entered on S if the previous tile left N and on W if it left E, and adds
+its non-incoming sides: a table made once per (incoming, outgoing) pair
+lists the side subsets that cover every corner off the outgoing side once,
+and a step shifts keys by the x-field units of a subset's arc labels.  A
+snake's last tile leaves E and covers both of its corners.  A band is cut
+open at its wrap: its first tile is entered on W, its last tile leaves E,
+these two copies of the wrap edge are separate sides, and the good
+matchings are the perfect matchings of the cut graph that take at least one
+copy (Musiker, Schiffler and Williams, arXiv:1110.4364).  A state bit
+records a copy, and one wrap label comes off every term: a good matching
+holds the wrap edge exactly when it takes both copies.  This is the
+snake-graph form of the 2x2 matrix formulae of Musiker and Williams
+(arXiv:1108.3382).  Heights follow a ray rule.  Tiles step only north or
+east, so a ray leaving tile j through f_j, its first side in S, E, N, W
+order that belongs to tile j alone, meets no other tile, and tile j lies
+inside P - P_min, the symmetric difference with the minimal matching,
+exactly when f_j is in exactly one of P and P_min; so every tile height is
+0 or 1.  P_min has a closed form: a side of one tile only lies in it
+exactly when it carries s23 or s41 (E/W when `hor_is_a`, else S/N), and no
+other edge does.
 
 Flip enumeration is the oracle.  `enumerate_masks` lists all perfect
 matchings of a snake graph, and the good matchings of a band graph, as the
@@ -47,17 +54,19 @@ or both its vertical edges are matched.  A flip raises the tile's height by
 one when the matched pair consists of the sides {c2c3, c4c1} of the
 conceptual quadrilateral (the sides adjacent to the glue edges), and lowers
 it when it consists of {c1c2, c3c4}; the minimal matching is the unique
-flip-source.  It is found by descending from a seed: the alternating
-matching of the boundary cycle through the first tile's incoming side,
-taken on the graph before a band's wrap is glued and carried across the
-glue.  The y-weight of a matching is the product of y_{i_j} over tiles
-counted with their heights.
+flip-source, and `minimal_mask` checks that the closed form is perfect with
+no down-flip.  The y-weight of a matching is the product of y_{i_j} over
+tiles counted with their heights.  The edge, vertex and flip tables these
+oracles read are built by `MatchingGraph._build` on first use, never by the
+expansion.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import product
 
 from .algebra import LaurentPolynomial, _add_into, term_codec
 from .errors import ClusterlabError
@@ -71,7 +80,37 @@ class SnakeError(ClusterlabError):
 # Tile sides in counterclockwise order.
 _DIRS = ("S", "E", "N", "W")
 _CORNER_OFFSETS = {"SW": (0, 0), "SE": (1, 0), "NE": (1, 1), "NW": (0, 1)}
+# Corner i of an outgoing side E/N is corner i of the next tile's incoming
+# side W/S.
 _EDGE_CORNERS = {"S": ("SW", "SE"), "E": ("SE", "NE"), "N": ("NW", "NE"), "W": ("SW", "NW")}
+_ENTRY = {"E": "W", "N": "S"}  # the side a tile is entered on, by the side the previous left
+
+
+def _transfer_table():
+    """{(in_dir, out_dir): {in_state: [(sides, out_state), ...]}}: the sets
+    of non-incoming sides that, with the incoming corners covered in in_state
+    (bit i: corner i of a glue side, by parity both or neither), cover every
+    corner off the outgoing side once.  A snake's first tile has in_dir None."""
+    table = {}
+    for in_dir, out_dir in product((None, "S", "W"), ("E", "N")):
+        free = [dr for dr in _DIRS if dr != in_dir]
+        out = _EDGE_CORNERS[out_dir]
+        table[in_dir, out_dir] = rows = {}
+        for s in (0, 3) if in_dir else (0,):
+            rows[s] = moves = []
+            for k in range(1 << len(free)):
+                sides = [dr for i, dr in enumerate(free) if k >> i & 1]
+                cover = [c for i, c in enumerate(_EDGE_CORNERS.get(in_dir, ())) if s >> i & 1]
+                cover += [c for dr in sides for c in _EDGE_CORNERS[dr]]
+                if len(set(cover)) == len(cover) and set(_CORNER_OFFSETS) - set(out) <= set(cover):
+                    moves.append((sides, sum(1 << i for i, c in enumerate(out) if c in cover)))
+    return table
+
+
+_TRANSFER = _transfer_table()
+# a tile's first side that no other tile shares (out_dir None: a snake's last tile)
+_FIRST_OWN = {(i, o): next(dr for dr in _DIRS if dr not in (i, o))
+              for i in (None, "S", "W") for o in (None, "E", "N")}
 
 
 @dataclass(frozen=True)
@@ -159,8 +198,12 @@ def _lay_out(T, crossings, walk, loop):
 
 class MatchingGraph:
     """A snake graph (`wrap` is None) or a band graph (`wrap` names the
-    glued sides of the first and last tiles), with the segments the
-    expansion runs over and the tile structure of flip enumeration."""
+    glued sides of the first and last tiles).  The expansion reads only the
+    tile layout."""
+
+    # The oracles' edge tables, set by `_build` when one is first read.
+    _TABLES = {"edges", "tile_edges", "vertices", "hor_mask", "ver_mask", "up_from_hor",
+               "edge_weight", "_edge_vmask"}
 
     def __init__(self, T, crossings, walk, tiles, glue_dirs, wrap=None):
         self.triangulation = T
@@ -171,7 +214,19 @@ class MatchingGraph:
         self.glue_dirs = tuple(glue_dirs)
         self.wrap = wrap  # None or (first_dir, last_dir)
         self._minimal = None
+        # each glue side, and a band's wrap, carries one label on both tiles
+        pairs = [(tiles[j], dr, tiles[j + 1], _ENTRY[dr]) for j, dr in enumerate(self.glue_dirs)]
+        for t, dr, u, du in pairs + ([(tiles[-1], wrap[1], tiles[0], wrap[0])] if wrap else []):
+            a, b = t.edge_labels[dr], u.edge_labels[du]
+            if a != b:
+                raise SnakeError(f"glued sides {dr} of tile {t.position} and {du} of tile "
+                                 f"{u.position} differ: {a} vs {b}")
+
+    def __getattr__(self, name):
+        if name not in MatchingGraph._TABLES:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         self._build()
+        return self.__dict__[name]
 
     # -- construction ------------------------------------------------------
 
@@ -180,7 +235,8 @@ class MatchingGraph:
         return (tile.grid[0] + ox, tile.grid[1] + oy)
 
     def _build(self):
-        d = len(self.tiles)
+        """Edges (sides identified across glue segments and the band wrap),
+        vertices and flip masks, and the invariants the oracles rely on."""
         glued = {}  # first-tile corner -> last-tile corner it is glued to
         seg_edge = {}  # raw segment -> edge, in tile order
         edges = []
@@ -189,17 +245,11 @@ class MatchingGraph:
             c1, c2 = _EDGE_CORNERS[direction]
             p1, p2 = self._corner(tile, c1), self._corner(tile, c2)
             seg = (min(p1, p2), max(p1, p2))
-            if seg in seg_edge:
-                e = seg_edge[seg]
-                if e.label != label:
-                    raise SnakeError(
-                        f"glue label mismatch at {seg}: {e.label} vs {label}"
-                    )
-            else:
-                e = _Edge(len(edges), label)
+            e = seg_edge.get(seg)
+            if e is None:
+                e = seg_edge[seg] = _Edge(len(edges), label)
                 e.segments.append(seg)
                 edges.append(e)
-                seg_edge[seg] = e
             e.tiles.append((tile_idx, direction))
             return e
 
@@ -207,80 +257,57 @@ class MatchingGraph:
             {dr: add_segment(jj, tile, dr, label) for dr, label in tile.labels}
             for jj, tile in enumerate(self.tiles)
         ]
-
-        first_dir = "S" if self.wrap is None else self.wrap[0]
-        seed = _alternating_boundary_matching(edges, tile_edges[0][first_dir])
+        # before a band is glued, each boundary corner meets two sides of one tile only
+        degree = Counter(p for e in edges if len(e.tiles) == 1 for p in e.segments[0])
+        if any(k != 2 for k in degree.values()):
+            raise SnakeError("boundary of the graph is not a single cycle")
 
         if self.wrap is not None:
             # Tiles step only north or east, so the last tile's N/E side is
             # never the first tile's S/W side: the wrap always joins two edges.
-            last_dir = self.wrap[1]
+            first_dir, last_dir = self.wrap
             e_first = tile_edges[0][first_dir]
-            e_last = tile_edges[d - 1][last_dir]
-            if e_first.label != e_last.label:
-                raise SnakeError(
-                    f"band wrap labels differ: {e_first.label} vs {e_last.label}"
-                )
+            e_last = tile_edges[-1][last_dir]
 
             # match the corners touching the tiles' diagonals
-            def split(tile_idx, direction):
-                tile = self.tiles[tile_idx]
-                name = next(
-                    n for n in _EDGE_CORNERS[direction] if n in tile.diag_corners
-                )
-                other = next(n for n in _EDGE_CORNERS[direction] if n != name)
-                return self._corner(tile, name), self._corner(tile, other)
+            def split(tile, direction):
+                a, b = _EDGE_CORNERS[direction]
+                if a not in tile.diag_corners:
+                    a, b = b, a
+                return self._corner(tile, a), self._corner(tile, b)
 
-            glued = dict(zip(split(0, first_dir), split(d - 1, last_dir)))
+            glued = dict(zip(split(self.tiles[0], first_dir), split(self.tiles[-1], last_dir)))
             e_last.segments.extend(e_first.segments)
             e_last.tiles.extend(e_first.tiles)
             edges.pop(e_first.index)
             for i, e in enumerate(edges):
                 e.index = i
             tile_edges[0][first_dir] = e_last
-            seg_edge[e_first.segments[0]] = e_last
-            # The seed held e_first; its vertices are now e_last's, which
-            # the seed covers either by e_last itself or by its neighbours.
-            seed.discard(e_first)
 
         for e in edges:
             vs = {glued.get(p, p) for seg in e.segments for p in seg}
             if len(vs) != 2:
                 raise SnakeError("degenerate edge after band identification")
             e.vertices = frozenset(vs)
-
-        self.edges = edges
-        # the graph cut open at a band's wrap: (segment, edge index) pairs
-        self.segments = [(seg, e.index) for seg, e in seg_edge.items()]
-        self._seed = sum(1 << e.index for e in seed)
-        self.tile_edges = [
-            {dr: e.index for dr, e in te.items()} for te in tile_edges
-        ]
-        self.vertices = sorted({v for e in edges for v in e.vertices})
-        if len(self.vertices) % 2:
+        vertices = sorted({v for e in edges for v in e.vertices})
+        if len(vertices) % 2:
             raise SnakeError("odd vertex count; no perfect matchings exist")
+        tile_edges = [{dr: e.index for dr, e in te.items()} for te in tile_edges]
+        if any(len(set(te.values())) != 4 for te in tile_edges):
+            raise SnakeError("tile with identified sides is unsupported")
 
-        # flip masks and flip orientation per tile
-        self.hor_mask = []
-        self.ver_mask = []
-        self.up_from_hor = []
-        for jj in range(d):
-            te = self.tile_edges[jj]
-            if len({te["S"], te["N"], te["E"], te["W"]}) != 4:
-                raise SnakeError("tile with identified sides is unsupported")
-            self.hor_mask.append((1 << te["S"]) | (1 << te["N"]))
-            self.ver_mask.append((1 << te["E"]) | (1 << te["W"]))
-            self.up_from_hor.append(not self.tiles[jj].hor_is_a)
-
-        self.edge_weight = [
-            e.label.index if e.label.is_arc else 0 for e in edges
-        ]
-        self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
-        self._edge_vmask = [
-            (1 << self._vertex_index[a]) | (1 << self._vertex_index[b])
-            for e in edges
-            for a, b in [tuple(e.vertices)]
-        ]
+        # flip masks and flip orientation per tile, set once every check passed
+        vertex_index = {v: i for i, v in enumerate(vertices)}
+        self.__dict__.update(
+            edges=edges,
+            tile_edges=tile_edges,
+            vertices=vertices,
+            hor_mask=[(1 << te["S"]) | (1 << te["N"]) for te in tile_edges],
+            ver_mask=[(1 << te["E"]) | (1 << te["W"]) for te in tile_edges],
+            up_from_hor=[not t.hor_is_a for t in self.tiles],
+            edge_weight=[e.label.index if e.label.is_arc else 0 for e in edges],
+            _edge_vmask=[sum(1 << vertex_index[v] for v in e.vertices) for e in edges],
+        )
 
     # -- basic matching utilities -------------------------------------------
 
@@ -354,17 +381,14 @@ class MatchingGraph:
         return list(seen.items())
 
     def minimal_mask(self):
-        """The unique source of the flip order, reached from the seed by
-        down-flips."""
+        """The unique source of the flip order, in closed form: the sides of
+        one tile only that carry s23 or s41 (E/W when `hor_is_a`, else S/N).
+        It is checked to be a perfect matching with no down-flip."""
         if self._minimal is None:
-            mask = self._seed
-            if not self.is_perfect(mask):
-                raise SnakeError("boundary seed is not a perfect matching")
-            while True:
-                down = next((m for _, m, up in self.flips(mask) if not up), None)
-                if down is None:
-                    break
-                mask = down
+            single = [(e.index, *e.tiles[0]) for e in self.edges if len(e.tiles) == 1]
+            mask = sum(1 << i for i, jj, dr in single if (dr in "EW") == self.tiles[jj].hor_is_a)
+            if not self.is_perfect(mask) or any(not up for _, _, up in self.flips(mask)):
+                raise SnakeError("the s23/s41 boundary sides are not the minimal matching")
             self._minimal = mask
         return self._minimal
 
@@ -381,7 +405,7 @@ class MatchingGraph:
             out["wrap"] = {
                 "first_tile_edge": first_dir,
                 "last_tile_edge": last_dir,
-                "label": str(self.edges[self.tile_edges[0][first_dir]].label),
+                "label": str(self.tiles[0].edge_labels[first_dir]),
             }
         out["tiles"] = [
             {
@@ -411,27 +435,6 @@ class MatchingGraph:
                 xe[w - 1] += 1
             m ^= b
         return tuple(xe)
-
-
-def _alternating_boundary_matching(edges, start):
-    """Every other edge of the boundary cycle, starting with `start`, of a
-    graph whose edges still have one segment each (a band not yet glued)."""
-    incident = {}
-    for e in edges:
-        if len(e.tiles) == 1:
-            for p in e.segments[0]:
-                incident.setdefault(p, []).append(e)
-    if any(len(es) != 2 for es in incident.values()):
-        raise SnakeError("boundary of the graph is not a single cycle")
-    cycle, v = [start], start.segments[0][0]
-    while True:
-        e = next(f for f in incident[v] if f is not cycle[-1])
-        if e is start:
-            break
-        cycle.append(e)
-        p, q = e.segments[0]
-        v = q if p == v else p
-    return set(cycle[0::2])
 
 
 def build_snake(T, crossing):
@@ -508,64 +511,60 @@ def expand_band(Bd, coeffs="principal"):
     return _expansion(Bd, coeffs)
 
 
-def _put(states, s, terms):
-    """Add the term map `terms` into the value of state `s`."""
-    cur = states.get(s)
-    if cur is None:
-        states[s] = terms
-    else:
-        _add_into(cur, terms)
-
-
 def _expansion(G, coeffs):
-    """Frontier dynamic program over the edges of the graph cut open at a
-    band's wrap, in tile order; see "Matchings" in the module docstring."""
+    """Transfer program over the tiles, a band cut open at its wrap; see
+    "Matchings" in the module docstring."""
     if coeffs not in ("principal", "trivial"):
         raise SnakeError(f"coeffs must be 'principal' or 'trivial', not {coeffs!r}")
     n = G.n_arcs
     ny = n if coeffs == "principal" else 0
     # unit[i]: the key offset of exponent field i (x1..xn, then y1..yn)
     unit = [1 << 32 * (n + ny - 1 - i) for i in range(n + ny)]
-    offset = [unit[e.label.index - 1] if e.label.is_arc else 0 for e in G.edges]
     start = term_codec(n + ny).zero - sum(unit[a - 1] for a in G.crossings)
-    if ny:
-        m0 = G.minimal_mask()
-        for j, tile in enumerate(G.tiles):
-            f = next(i for i in G.tile_edges[j].values() if len(G.edges[i].tiles) == 1)
+    band, d = G.wrap is not None, len(G.tiles)
+    # steps[j][in_state]: (key offset, out_state) per move; state bit 2: a wrap copy taken
+    steps = []
+    in_dir = "W" if band else None
+    for j, tile in enumerate(G.tiles):
+        last = j == d - 1
+        out_dir = "E" if last else G.glue_dirs[j]
+        off = {dr: unit[side.index - 1] if side.kind == "A" else 0 for dr, side in tile.labels}
+        if not j:
+            wrap_x = off["W"]  # a band's first W side: the other copy of its wrap
+        if ny:  # ray rule: tile j has height 1 when f is in one of P and P_min
+            f = _FIRST_OWN[in_dir, None if last and not band else out_dir]
             y = unit[n + tile.diagonal - 1]
-            if m0 >> f & 1:
+            if (f in "EW") == tile.hor_is_a:  # f is in P_min
                 start += y
-                offset[f] -= y
-            else:
-                offset[f] += y
-    wrap = None
-    if G.wrap is not None:
-        wrap = G.tile_edges[0][G.wrap[0]]
-        start -= offset[wrap]
+                y = -y
+            off[f] += y
+        wrap_bit = 4 if band and last else 0
+        steps.append({
+            s: [(sum([off[dr] for dr in sides]), t | wrap_bit if out_dir in sides else t)
+                for sides, t in moves]
+            for s, moves in _TRANSFER[in_dir, out_dir].items()
+        })
+        in_dir = _ENTRY[out_dir]
 
-    # One step per raw segment, in tile order: (vertex bits, key offset, wrap
-    # copy?, vertices seen for the last time).  Bit 0 of a state records
-    # that a wrap copy was taken.
-    steps, vbit, last = [], {}, {}
-    for k, ((p, q), i) in enumerate(G.segments):
-        bp = vbit.setdefault(p, 2 << len(vbit))
-        bq = vbit.setdefault(q, 2 << len(vbit))
-        last[p] = last[q] = k
-        steps.append([bp | bq, offset[i], i == wrap, 0])
-    for p, k in last.items():
-        steps[k][3] |= vbit[p]
-
-    states = {0: {start: 1}}
-    for bits, off, is_wrap, done in steps:
+    # the first W copy of a band's wrap is taken (state 7) or not (0)
+    states = {0: {start - wrap_x: 1}, 7: {start: 1}} if band else {0: {start: 1}}
+    for moves in steps:
         nxt = {}
         for s, terms in states.items():
-            if not s & bits:  # take the segment
-                _put(nxt, s | bits | is_wrap, {k + off: c for k, c in terms.items()})
-            _put(nxt, s, terms)  # leave it out; `terms` is not read again
-        states = {s ^ done: v for s, v in nxt.items() if s & done == done} if done else nxt
-    terms = states.get(0 if wrap is None else 1, {})
-    # Every tile height is 0 or 1 and every edge count at most len(G.edges).
-    return LaurentPolynomial.from_packed(n, ny, terms, max(len(G.edges), len(G.crossings)))
+            for off, t in moves[s & 3]:
+                t |= s & 4
+                shifted = {k + off: c for k, c in terms.items()}
+                cur = nxt.get(t)
+                if cur is None:
+                    nxt[t] = shifted
+                elif len(cur) < len(shifted):  # add the smaller map into the larger
+                    nxt[t] = _add_into(shifted, cur)
+                else:
+                    _add_into(cur, shifted)
+        states = nxt
+    # Every tile height is 0 or 1, and a snake has 3d + 1 edges, a band 3d.
+    terms = states.get(7 if band else 3, {})
+    return LaurentPolynomial.from_packed(n, ny, terms, 3 * d + (not band))
 
 
 __all__ = [

@@ -68,6 +68,26 @@ def test_involution_random():
             assert mutate(mutate(s, k), k) == s
 
 
+def test_random_mutation_sequences_stay_positive_and_involutive():
+    # The property form of the fixed-seed test above, at genus 1-3: every
+    # cluster variable after a random sequence is coefficient-positive, and
+    # mutating twice in one direction gives the seed back.
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    seeds = {g: initial_seed(builtin_genus(g).exchange_matrix()) for g in (1, 2, 3)}
+
+    def check(data):
+        s0 = seeds[data.draw(st.integers(1, 3))]
+        s = mutate_seq(s0, data.draw(st.lists(st.integers(1, s0.n), max_size=6)))
+        assert all(v.coefficients_positive() for v in s.cluster)
+        k = data.draw(st.integers(1, s0.n))
+        assert mutate(mutate(s, k), k) == s
+
+    hyp.settings(max_examples=100, deadline=None, database=None, derandomize=True)(
+        hyp.given(st.data())(check)
+    )()
+
+
 def test_mutate_seq_empty_is_identity():
     s0 = initial_seed(builtin_genus1().exchange_matrix())
     assert mutate_seq(s0, ()) == s0

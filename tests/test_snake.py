@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -6,6 +9,7 @@ from clusterlab.algebra import LaurentPolynomial as LP
 from clusterlab.algebra import chebyshev, term_codec
 from clusterlab.mutation import initial_seed, mutate
 from clusterlab.snake import (
+    MatchingGraph,
     SnakeError,
     all_matchings_bruteforce,
     build_band,
@@ -18,6 +22,7 @@ from clusterlab.surface import (
     ArcCrossing,
     LoopCrossing,
     annulus_fixture,
+    boundary,
     builtin_genus,
     builtin_genus1,
     builtin_genus2,
@@ -164,6 +169,25 @@ def test_glue_labels_match_third_sides():
         tri = T.triangles[S.walk[j + 1]]
         sides = {str(s) for s in tri}
         assert str(e.label) in sides
+
+
+def test_glue_and_wrap_label_mismatches_raise_at_build():
+    # the layout checks run when the graph is made, not when its edge
+    # tables are first read
+    T = builtin_genus1()
+    S = build_snake(T, ArcCrossing((4, 2, 1, 4)))
+    B = trim_to_band(S)
+
+    def relabel_last(G, direction):
+        t = G.tiles[-1]
+        labels = tuple((dr, boundary(9) if dr == direction else s) for dr, s in t.labels)
+        return G.tiles[:-1] + [dataclasses.replace(t, labels=labels)]
+
+    assert S.glue_dirs[-1] == "E" and B.wrap == ("W", "E")
+    with pytest.raises(SnakeError, match="sides E of tile 3 and W of tile 4 differ: A2 vs B9"):
+        MatchingGraph(T, S.crossings, S.walk, relabel_last(S, "W"), S.glue_dirs)
+    with pytest.raises(SnakeError, match="glued sides E of tile 2 and W of tile 1 differ"):
+        MatchingGraph(T, B.crossings, B.walk, relabel_last(B, "E"), B.glue_dirs, B.wrap)
 
 
 def test_debug_dump_golden():
@@ -457,3 +481,109 @@ def test_unknown_coefficient_mode_is_a_snake_error():
     for run in (expand, expand_band):
         with pytest.raises(SnakeError, match="coeffs must be 'principal' or 'trivial'"):
             run(S, "bogus")
+
+
+# -- build errors and the closed-form minimal matching ---------------------------
+
+
+# sha256 of the outcome lines below, recorded with the graph tables built
+# eagerly at construction and the minimal matching found by flip descent
+BUILD_OUTCOMES_SHA256 = "17533f0fe3415a45a9f1423f0d69ccd01a16c78e35c764784176f9a142eb2d85"
+
+
+def _build_outcome(build):
+    try:
+        return "ok", build()
+    except Exception as exc:  # the type and text are the recorded outcome
+        return f"{type(exc).__name__}: {exc}", None
+
+
+def test_build_errors_are_raised_at_build():
+    # Every arc of length <= 8 at genus 1-2 and <= 7 at genus 3, the trims of
+    # those that start and end on one arc, and every closed walk of length
+    # 2..6 as a loop: each build either raises the recorded error text or
+    # gives a graph on which every graph-only invariant of `_build` and the
+    # closed-form minimal matching hold, and which expands.
+    lines, graphs = [], []
+    for g, max_len in ((1, 8), (2, 8), (3, 7)):
+        T = builtin_genus(g)
+        for t0, seq, walk in T.arc_walks(max_len):
+            out, S = _build_outcome(lambda: build_snake(T, ArcCrossing(seq, start_triangle=t0)))
+            lines.append(f"genus{g} arc {t0} {seq}: {out}")
+            graphs.append(S)
+            if len(seq) >= 3 and seq[0] == seq[-1]:
+                out, B = _build_outcome(lambda: trim_to_band(S))
+                lines.append(f"genus{g} trim {t0} {seq}: {out}")
+                graphs.append(B)
+            if 2 <= len(seq) <= 6 and walk[-1] == walk[0]:
+                out, B = _build_outcome(lambda: build_band(T, LoopCrossing(seq)))
+                lines.append(f"genus{g} loop {t0} {seq}: {out}")
+                graphs.append(B)
+
+    def kind(line):
+        out = line.split(": ", 1)[1]
+        if "does not validate" in out:
+            out = "does not validate"
+        return line.split()[1], out.split(" (")[0]
+
+    kinds = Counter(map(kind, lines))
+    assert kinds == {
+        ("arc", "ok"): 7854,
+        ("trim", "ok"): 92,
+        ("trim", "SnakeError: band drawing does not close up"): 64,
+        ("trim", "SnakeError: band graphs need at least two tiles"): 12,
+        ("trim", "does not validate"): 488,
+        ("loop", "ok"): 180,
+        ("loop", "SnakeError: band drawing does not close up"): 72,
+        ("loop", "does not validate"): 96,
+    }
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == BUILD_OUTCOMES_SHA256
+    for G in graphs:
+        if G is not None:
+            G.minimal_mask()  # builds the graph tables
+            assert (expand if G.wrap is None else expand_band)(G, "trivial").terms
+
+
+def _descended_minimal(G):
+    """The oracle for `minimal_mask`: the alternating matching of the boundary
+    cycle through the first tile's incoming side (S of a snake, W of a band),
+    taken before a band's wrap is glued and carried across the glue, then
+    lowered by down-flips until none is left."""
+    # boundary segments before gluing: sides of one tile, and both wrap copies
+    incident = {}
+    for e in G.edges:
+        if len(e.tiles) == 1 or len(e.segments) == 2:
+            for seg in e.segments:
+                for p in seg:
+                    incident.setdefault(p, []).append((e.index, seg))
+    assert all(len(es) == 2 for es in incident.values())
+    first = G.edges[G.tile_edges[0]["S" if G.wrap is None else "W"]]
+    start = (first.index, first.segments[-1])  # a wrap edge lists the W copy last
+    cycle, v = [start], start[1][0]
+    while (side := next(f for f in incident[v] if f != cycle[-1])) != start:
+        cycle.append(side)
+        p, q = side[1]
+        v = q if p == v else p
+    mask = 0
+    # a band's seed leaves out the W copy it starts from
+    for i, _ in cycle[2::2] if G.wrap is not None else cycle[0::2]:
+        mask |= 1 << i
+    assert G.is_perfect(mask)
+    while (down := next((m for _, m, up in G.flips(mask) if not up), None)) is not None:
+        mask = down
+    return mask
+
+
+def test_closed_form_minimal_matching_equals_flip_descent():
+    graphs = []
+    for g in (1, 2, 3):
+        T = builtin_genus(g)
+        graphs.extend(build_band(T, T.boundary_loop().repeated(k)) for k in (1, 2, 3))
+        for t0, seq, _ in T.arc_walks(6):
+            S = build_snake(T, ArcCrossing(seq, start_triangle=t0))
+            graphs.append(S)
+            if len(seq) >= 3 and seq[0] == seq[-1]:
+                graphs.extend(B for B in [_trimmed(S)] if B is not None)
+    assert (len(graphs), sum(G.wrap is not None for G in graphs)) == (3111, 77)
+    for G in graphs:
+        assert G.minimal_mask() == _descended_minimal(G), G.crossings

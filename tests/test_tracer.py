@@ -1,0 +1,59 @@
+"""The API that the benchmark's span tracer (perfbench/spans.py) wraps.
+
+The tracer wraps clusterlab functions by name from outside the package, so a
+rename or a changed result type would silently leave a layer untraced.  This
+test loads the tracer unchanged, runs one snake and one band expansion under
+it, and checks that both snake spans carry work counts and that `uninstall`
+puts every original back.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import clusterlab
+from clusterlab import algebra, snake, verify
+from clusterlab.surface import ArcCrossing, builtin_genus1
+
+SPANS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+SNAKE_API = ("build_snake", "build_band", "trim_to_band", "expand", "expand_band")
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_wraps_the_snake_api_and_uninstalls():
+    spans = _load_spans()
+    originals = {name: getattr(snake, name) for name in SNAKE_API}
+    enumerate_masks = snake.MatchingGraph.__dict__["enumerate_masks"]
+    mul, cases = algebra.LaurentPolynomial.__dict__["__mul__"], dict(verify.CASES)
+    T = builtin_genus1()
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for name in SNAKE_API:
+            assert getattr(snake, name) is not originals[name], name
+        assert snake.MatchingGraph.__dict__["enumerate_masks"] is not enumerate_masks
+        S = snake.build_snake(T, ArcCrossing((4, 2, 1, 4)))
+        arc = snake.expand(S)
+        B = snake.build_band(T, T.boundary_loop())
+        loop = snake.expand_band(B)
+        stats = tracer.spans.layer_stats()
+    finally:
+        tracer.uninstall()
+
+    assert stats["snake.build"]["calls"] == 2
+    assert stats["snake.build"]["work"] == len(S.tiles) + len(B.tiles) == 12
+    assert stats["snake.expand"]["calls"] == 2
+    assert stats["snake.expand"]["work"] == len(arc.terms) + len(loop.terms) > 0
+    # the wrappers were also installed wherever clusterlab imported a name
+    for module in (clusterlab, snake, verify):
+        for name in SNAKE_API:
+            assert vars(module).get(name, originals[name]) is originals[name], (module, name)
+    assert snake.MatchingGraph.__dict__["enumerate_masks"] is enumerate_masks
+    assert algebra.LaurentPolynomial.__dict__["__mul__"] is mul
+    assert verify.CASES == cases

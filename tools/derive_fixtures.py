@@ -11,9 +11,10 @@ prefixes.  The result is unique and frozen in clusterlab.verify; rerun with
 
     python tools/derive_fixtures.py
 
-to confirm: it exits 1 if the result differs from the recorded arcs.  One
-run took 45 s at a peak RSS of 17 MB on a shared two-core machine under
-Python 3.11.
+to confirm: it exits 1 if the result differs from the recorded arcs.  Two
+runs took 26 s and 28 s at a peak RSS of 17 MB on a shared two-core machine
+under Python 3.11.  That machine's speed drifts by up to 2x between hours,
+so compare only runs made back to back.
 """
 
 import time
