@@ -57,12 +57,15 @@ class NotDivisible(ArithmeticError):
 class TermCodec:
     """Packs exponent vectors of length n into integer keys and back."""
 
-    __slots__ = ("struct", "size", "zero")
+    __slots__ = ("struct", "size", "zero", "units")
 
     def __init__(self, n):
         self.struct = struct.Struct(f">{n}I")
         self.size = 4 * n
         self.zero = self.raw([_BIAS] * n)
+        # units[i]: the key offset of exponent 1 in field i, so the offset of
+        # an exponent vector e is sum(e_i * units[i])
+        self.units = tuple([1 << 32 * (n - 1 - i) for i in range(n)])
 
     def raw(self, digits):
         """The key whose fields hold `digits` as given, with no bias added;

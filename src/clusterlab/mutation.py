@@ -4,10 +4,12 @@ Seeds carry the n x 2n extended exchange matrix [B | C] and a cluster of
 Laurent polynomials written in the initial variables.  Row i of C is the
 exponent vector of the coefficient y_i in the tropical semifield
 Trop(y_1, ..., y_n) (Fomin-Zelevinsky, "Cluster algebras IV"), so one
-matrix mutation updates both B and the coefficients.  Exchange relations
-are computed exactly in the Laurent ring; by the Laurent phenomenon the
-division by the leaving variable is always exact, so a division failure is
-a loud bug detector.
+matrix mutation updates both B and the coefficients; it rebuilds only the
+rows that change and shares the others.  Exchange relations are computed
+exactly in the Laurent ring, each side as one packed key offset (the
+y-monomial and every monomial cluster factor) times the product of its
+multi-term factors.  By the Laurent phenomenon the division by the leaving
+variable is always exact, so a division failure is a loud bug detector.
 """
 
 from __future__ import annotations
@@ -15,8 +17,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul, neg
 
-from .algebra import LaurentPolynomial, NotDivisible, TropicalMonomial
+from .algebra import (
+    LaurentPolynomial,
+    NotDivisible,
+    TropicalMonomial,
+    _add_into,
+    term_codec,
+)
 from .errors import ClusterlabError
 
 
@@ -53,25 +63,32 @@ def matrix_mutate(B, k):
 
     Rows may be longer than the number of rows: the entrywise rule applies
     to every column, which on the C half of [B | C] is the tropical
-    coefficient update.  Only row k and the rows i with b_ik != 0 change;
-    every other row is shared with the result.
+    coefficient update.  Only row k and the rows i with b_ik != 0 are
+    rebuilt, and in such a row only the columns j where b_kj has the sign of
+    b_ik (read once from row k) and column k change; every other row is
+    shared with the result.
     """
     rowk = B[k]
-    out = []
+    ups, downs = [], []
+    for j, c in enumerate(rowk):
+        if c:
+            (ups if c > 0 else downs).append((j, c))
+    out = list(B)
+    out[k] = tuple(map(neg, rowk))
     for i, row in enumerate(B):
         bik = row[k]
-        if i == k:
-            out.append(tuple([-b for b in row]))
-        elif not bik:
-            out.append(tuple(row))
+        if not bik or i == k:
+            continue
+        # b_ij += |b_ik| b_kj wherever b_ik and b_kj have the same sign
+        new = list(row)
+        if bik > 0:
+            for j, c in ups:
+                new[j] += bik * c
         else:
-            # b_ij += |b_ik| b_kj wherever b_ik and b_kj have the same sign
-            if bik > 0:
-                new = [b + bik * c if c > 0 else b for b, c in zip(row, rowk)]
-            else:
-                new = [b - bik * c if c < 0 else b for b, c in zip(row, rowk)]
-            new[k] = -bik
-            out.append(tuple(new))
+            for j, c in downs:
+                new[j] -= bik * c
+        new[k] = -bik
+        out[i] = tuple(new)
     return tuple(out)
 
 
@@ -135,32 +152,65 @@ def mutate(seed, k):
                     + (1 / (y_k (+) 1)) prod_i x_i^[-b_ik]_+
 
     evaluated exactly in the Laurent ring; [B | C] is mutated as one matrix.
+
+    Each side of the relation is one packed key offset times the product of
+    its multi-term factors.  The offset holds the y-monomial and every
+    factor x_i^|b_ik| whose x_i is a single term with coefficient 1, as
+    (key - zero) * |b_ik|; the product is shifted by it once.  A side's
+    exponent bound is the sum of |b_ik| * bound(x_i) plus its largest
+    y-exponent, the bound the factor-by-factor product would carry.
     """
     n = seed.n
+    if type(k) is not int:  # a bool is not a mutation index either
+        raise MutationError(f"mutation index {k!r} is not an int")
     if not 1 <= k <= n:
         raise MutationError(f"mutation index {k} out of range 1..{n}")
     kk = k - 1
     row = seed.M[kk]
+    cluster = seed.cluster
 
     # The triangulation convention for b_ij is transposed relative to the
     # matrix the snake expansion realizes, so the exchange at k reads off
     # row k (equivalently, column k of -B); zip stops at the n cluster
     # variables, so it reads only the B half.  The C half is y_k, whose
     # positive and negative parts are y_k / (y_k (+) 1) and 1 / (y_k (+) 1).
-    yk = row[n:]
-    pos = LaurentPolynomial.y_monomial(n, n, tuple([e if e > 0 else 0 for e in yk]))
-    neg = LaurentPolynomial.y_monomial(n, n, tuple([-e if e < 0 else 0 for e in yk]))
-    for bik, xi in zip(row, seed.cluster):
-        if bik > 0:
-            pos = pos * xi ** bik
-        elif bik < 0:
-            neg = neg * xi ** -bik
+    zero = term_codec(2 * n).zero
+    offsets, bounds = [0, 0], [0, 0]  # key offset and exponent bound per side
+    factors = ([], [])  # x_i^|b_ik| for the multi-term x_i of each side
+    # the y fields are the low n fields of a key
+    for e, unit in zip(row[n:], term_codec(n).units):
+        if e:
+            side = e < 0
+            if side:
+                e = -e
+            offsets[side] += e * unit
+            if e > bounds[side]:
+                bounds[side] = e
+    for bik, xi in zip(row, cluster):
+        if not bik:
+            continue
+        side = bik < 0
+        e = -bik if side else bik
+        bounds[side] += e * xi._bound
+        terms = xi.terms
+        if len(terms) == 1:
+            ((key, c),) = terms.items()
+            if c == 1:
+                offsets[side] += (key - zero) * e
+                continue
+        factors[side].append(xi ** e)
+
+    relation = {}
+    for off, side_factors in zip(offsets, factors):
+        product = reduce(mul, side_factors).terms if side_factors else {zero: 1}
+        _add_into(relation, {key + off: c for key, c in product.items()})
+    rhs = LaurentPolynomial.from_packed(n, n, relation, max(bounds))
     try:
-        new_var = (pos + neg).div_exact(seed.cluster[kk])
+        new_var = rhs.div_exact(cluster[kk])
     except NotDivisible as exc:  # pragma: no cover - Laurent phenomenon
         raise MutationError(f"exchange relation not exact at k={k}: {exc}") from exc
 
-    new_cluster = list(seed.cluster)
+    new_cluster = list(cluster)
     new_cluster[kk] = new_var
     return Seed(M=matrix_mutate(seed.M, kk), cluster=tuple(new_cluster))
 
@@ -180,6 +230,8 @@ def find_mutation_sequence(seed, target, depth):
     """Breadth-first search for a mutation sequence whose mutated variable
     equals `target` exactly; ties break toward lexicographically smaller
     sequences.  Raises NotFound past the depth bound."""
+    if type(depth) is not int:
+        raise MutationError(f"search depth {depth!r} is not an int")
     if not 0 <= depth <= 10:
         raise MutationError(f"search depth {depth} outside 0..10")
     n = seed.n

@@ -84,6 +84,9 @@ _CORNER_OFFSETS = {"SW": (0, 0), "SE": (1, 0), "NE": (1, 1), "NW": (0, 1)}
 # side W/S.
 _EDGE_CORNERS = {"S": ("SW", "SE"), "E": ("SE", "NE"), "N": ("NW", "NE"), "W": ("SW", "NW")}
 _ENTRY = {"E": "W", "N": "S"}  # the side a tile is entered on, by the side the previous left
+# the corner that two adjacent sides share
+_SHARED_CORNER = {(a, b): c for a in _DIRS for b in _DIRS if a != b
+                  for c in set(_EDGE_CORNERS[a]) & set(_EDGE_CORNERS[b])}
 
 
 def _transfer_table():
@@ -142,11 +145,6 @@ class _Edge:
         return f"_Edge({self.index}, {self.label}, tiles={self.tiles})"
 
 
-def _shared_corner(a, b):
-    (corner,) = set(_EDGE_CORNERS[a]) & set(_EDGE_CORNERS[b])
-    return corner
-
-
 def _lay_out(T, crossings, walk, loop):
     """Draw every tile in one pass; returns (tiles, glue_dirs) where
     glue_dirs[j] joins tile j to tile j+1 (a band's wrap, always W to E,
@@ -187,7 +185,7 @@ def _lay_out(T, crossings, walk, loop):
                 diagonal=c,
                 labels=tuple((dr, sides[at.index(dr)]) for dr in _DIRS),
                 sign=sign,
-                diag_corners=(_shared_corner(at[3], at[0]), _shared_corner(at[1], at[2])),
+                diag_corners=(_SHARED_CORNER[at[3], at[0]], _SHARED_CORNER[at[1], at[2]]),
                 hor_is_a=r % 2 == 0,
             )
         )
@@ -518,9 +516,9 @@ def _expansion(G, coeffs):
         raise SnakeError(f"coeffs must be 'principal' or 'trivial', not {coeffs!r}")
     n = G.n_arcs
     ny = n if coeffs == "principal" else 0
-    # unit[i]: the key offset of exponent field i (x1..xn, then y1..yn)
-    unit = [1 << 32 * (n + ny - 1 - i) for i in range(n + ny)]
-    start = term_codec(n + ny).zero - sum(unit[a - 1] for a in G.crossings)
+    codec = term_codec(n + ny)  # fields x1..xn, then y1..yn
+    unit = codec.units
+    start = codec.zero - sum(unit[a - 1] for a in G.crossings)
     band, d = G.wrap is not None, len(G.tiles)
     # steps[j][in_state]: (key offset, out_state) per move; state bit 2: a wrap copy taken
     steps = []

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from clusterlab.algebra import LaurentPolynomial as LP, TropicalMonomial
+from clusterlab.algebra import ExponentOverflow, LaurentPolynomial as LP, TropicalMonomial
 from clusterlab.mutation import (
     MutationError,
     NotFound,
+    Seed,
     find_mutation_sequence,
     initial_seed,
     matrix_mutate,
@@ -36,6 +37,10 @@ def test_mutate_bounds():
         mutate(s, 0)
     with pytest.raises(MutationError):
         mutate(s, 5)
+    # an index that is not an int is a typed error too, and a bool is not an int
+    for k in (1.0, 2.5, "1", None, True, False):
+        with pytest.raises(MutationError):
+            mutate(s, k)
 
 
 def test_mutate_exchange_relation_hand_value():
@@ -88,6 +93,120 @@ def test_random_mutation_sequences_stay_positive_and_involutive():
     )()
 
 
+def _reference_mutate(seed, k):
+    """The exchange relation built factor by factor, kept as an oracle for
+    mutate: y-monomials from y_monomial, polynomial products and powers,
+    exact division by the leaving variable, and the entrywise matrix rule."""
+    n = seed.n
+    kk = k - 1
+    row = seed.M[kk]
+    yk = row[n:]
+    pos = LP.y_monomial(n, n, tuple([e if e > 0 else 0 for e in yk]))
+    neg = LP.y_monomial(n, n, tuple([-e if e < 0 else 0 for e in yk]))
+    for bik, xi in zip(row, seed.cluster):
+        if bik > 0:
+            pos = pos * xi ** bik
+        elif bik < 0:
+            neg = neg * xi ** -bik
+    new_var = (pos + neg).div_exact(seed.cluster[kk])
+    return Seed(
+        M=tuple(map(tuple, _dense_matrix_mutate(seed.M, kk))),
+        cluster=seed.cluster[:kk] + (new_var,) + seed.cluster[k:],
+    )
+
+
+def _mutate_as_reference(seed, k):
+    """mutate(seed, k), checked against the reference, exponent bounds too:
+    equal bounds make ExponentOverflow fire at the same later step."""
+    got, want = mutate(seed, k), _reference_mutate(seed, k)
+    assert got.M == want.M
+    assert got.cluster == want.cluster
+    assert [v._bound for v in got.cluster] == [v._bound for v in want.cluster]
+    return got
+
+
+# the kinds of exchange that the reference comparisons must reach
+EXCHANGE_KINDS = {"monomial leaving", "multi-term leaving", "c_k > 0", "c_k < 0",
+                  "|b_ik| = 2 on a monomial", "|b_ik| = 2 on a multi-term x_i"}
+
+
+def _exchange_kinds(seed, k):
+    n = seed.n
+    row = seed.M[k - 1]
+    kinds = {"monomial leaving" if seed.cluster[k - 1].is_monomial() else "multi-term leaving"}
+    if max(row[n:]) > 0:
+        kinds.add("c_k > 0")
+    if min(row[n:]) < 0:
+        kinds.add("c_k < 0")
+    for bik, xi in zip(row, seed.cluster):
+        if abs(bik) == 2:
+            kinds.add("|b_ik| = 2 on a " + ("monomial" if xi.is_monomial() else "multi-term x_i"))
+    return kinds
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_mutate_matches_reference_along_random_sequences(genus):
+    rng = random.Random(100 + genus)
+    s0 = initial_seed(builtin_genus(genus).exchange_matrix())
+    seen = set()
+    for _ in range(30):
+        s = s0
+        for _ in range(rng.randint(1, 8)):
+            k = rng.randint(1, s0.n)
+            seen |= _exchange_kinds(s, k)
+            s = _mutate_as_reference(s, k)
+    assert seen == EXCHANGE_KINDS
+
+
+def test_mutate_matches_reference_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    seeds = {g: initial_seed(builtin_genus(g).exchange_matrix()) for g in (1, 2, 3)}
+
+    def check(data):
+        s = seeds[data.draw(st.integers(1, 3))]
+        for k in data.draw(st.lists(st.integers(1, s.n), max_size=7)):
+            s = _mutate_as_reference(s, k)
+
+    hyp.settings(max_examples=100, deadline=None, database=None, derandomize=True)(
+        hyp.given(st.data())(check)
+    )()
+
+
+@pytest.mark.parametrize("x2", ["2*x2", "x2^3*y1", "x2^-1*y4", "x2 + 3*x3*y2", "x2^2 + x4^-1"])
+def test_mutate_matches_reference_on_a_replaced_x2(x2):
+    # x2 enters the genus-1 exchange at k = 1 squared; a single term with a
+    # coefficient other than 1 is a factor, not part of the key offset.  The
+    # leaving variable stays a monomial, so every division is exact.
+    s0 = initial_seed(builtin_genus1().exchange_matrix())
+    s = Seed(M=s0.M, cluster=(s0.cluster[0], LP.parse(x2, 4)) + s0.cluster[2:])
+    for k in (1, 3, 4):
+        _mutate_as_reference(s, k)
+
+
+@pytest.mark.parametrize("multi_term", [False, True], ids=["monomial", "multi-term"])
+@pytest.mark.parametrize("e", [2**29, 2**30 - 1, 2**30])
+def test_mutate_overflows_where_the_reference_does(e, multi_term):
+    # row 1 of the genus-1 B is (0, 2, -1, -1), so x2 enters squared next to
+    # y1: at e = 2^30 the exchange relation passes the exponent limit, and
+    # at e = 2^30 - 1 only the division by x1 does
+    s0 = initial_seed(builtin_genus1().exchange_matrix())
+    x2 = LP.monomial(4, 4, 1, (0, e))
+    if multi_term:
+        x2 = x2 + LP.x_var(3, 4)
+    s = Seed(M=s0.M, cluster=(s0.cluster[0], x2) + s0.cluster[2:])
+    try:
+        _reference_mutate(s, 1)
+    except ExponentOverflow:
+        with pytest.raises(ExponentOverflow):
+            mutate(s, 1)
+    else:
+        _mutate_as_reference(s, 1)
+    if e == 2**30:
+        with pytest.raises(ExponentOverflow):
+            mutate(s, 1)
+
+
 def test_mutate_seq_empty_is_identity():
     s0 = initial_seed(builtin_genus1().exchange_matrix())
     assert mutate_seq(s0, ()) == s0
@@ -138,6 +257,9 @@ def test_find_mutation_sequence_not_found():
         find_mutation_sequence(s0, target, 11)
     with pytest.raises(MutationError):
         find_mutation_sequence(s0, target, -1)
+    for depth in (2.0, "2", None, True):
+        with pytest.raises(MutationError):
+            find_mutation_sequence(s0, target, depth)
 
 
 def test_genus2_oracle_equivalence():
@@ -239,7 +361,10 @@ def test_matrix_mutate_matches_dense_formula(matrices):
             assert all(type(r) is tuple for r in got)
             # rows with b_ik = 0 (other than row k) are shared, not copied
             assert all(got[i] is rows[i] for i in range(len(B)) if i != k and not B[i][k])
-            assert matrix_mutate(got, k) == rows
+            back = matrix_mutate(got, k)
+            assert back == rows
+            assert all(type(r) is tuple for r in back)
+            assert all(back[i] is rows[i] for i in range(len(B)) if i != k and not B[i][k])
 
 
 def _tropical_coeff_mutate(B, coeffs, kk):

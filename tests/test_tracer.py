@@ -2,16 +2,17 @@
 
 The tracer wraps clusterlab functions by name from outside the package, so a
 rename or a changed result type would silently leave a layer untraced.  This
-test loads the tracer unchanged, runs one snake and one band expansion under
-it, and checks that both snake spans carry work counts and that `uninstall`
-puts every original back.
+test loads the tracer unchanged, runs one snake and one band expansion and
+one mutation sequence under it, and checks that both snake spans carry work
+counts, that `mutate_seq` goes through the wrapped `mutation.mutate`, and that
+`uninstall` puts every original back.
 """
 
 import importlib.util
 from pathlib import Path
 
 import clusterlab
-from clusterlab import algebra, snake, verify
+from clusterlab import algebra, mutation, snake, verify
 from clusterlab.surface import ArcCrossing, builtin_genus1
 
 SPANS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -30,6 +31,7 @@ def test_tracer_wraps_the_snake_api_and_uninstalls():
     originals = {name: getattr(snake, name) for name in SNAKE_API}
     enumerate_masks = snake.MatchingGraph.__dict__["enumerate_masks"]
     mul, cases = algebra.LaurentPolynomial.__dict__["__mul__"], dict(verify.CASES)
+    mutate = mutation.mutate
     T = builtin_genus1()
 
     tracer = spans.Tracer()
@@ -42,6 +44,7 @@ def test_tracer_wraps_the_snake_api_and_uninstalls():
         arc = snake.expand(S)
         B = snake.build_band(T, T.boundary_loop())
         loop = snake.expand_band(B)
+        mutation.mutate_seq(mutation.initial_seed(T.exchange_matrix()), (1, 2, 3))
         stats = tracer.spans.layer_stats()
     finally:
         tracer.uninstall()
@@ -50,10 +53,12 @@ def test_tracer_wraps_the_snake_api_and_uninstalls():
     assert stats["snake.build"]["work"] == len(S.tiles) + len(B.tiles) == 12
     assert stats["snake.expand"]["calls"] == 2
     assert stats["snake.expand"]["work"] == len(arc.terms) + len(loop.terms) > 0
+    assert stats["mutation.mutate"]["calls"] == 3
     # the wrappers were also installed wherever clusterlab imported a name
     for module in (clusterlab, snake, verify):
         for name in SNAKE_API:
             assert vars(module).get(name, originals[name]) is originals[name], (module, name)
     assert snake.MatchingGraph.__dict__["enumerate_masks"] is enumerate_masks
     assert algebra.LaurentPolynomial.__dict__["__mul__"] is mul
+    assert mutation.mutate is mutate
     assert verify.CASES == cases
