@@ -22,6 +22,19 @@ left east, so it closes up exactly when its last tile is left east; it then
 identifies the spare east side of the last tile with the west side of the
 first, matching the corners that touch the diagonals.
 
+Context tables.  A tile's drawing depends only on its context: the triangle
+before it, the previous, current and next crossings (None past a snake's
+ends) and the direction the previous tile was left in.  Each triangulation
+keeps a table, `Triangulation.tile_contexts`, from context to drawing
+(labels, sign, diagonal corners, `hor_is_a` and exit direction), so the
+turn rule runs once per context and a graph builds only each tile's
+position and grid.  The contexts a build draws first join the table only
+when the graph passes its checks.  A drawing also keeps the tile's
+transfer step (see Matchings) per coefficient mode, and for a band's last
+tile, made by the first expansion that needs it.  A k-fold bracelet thus
+reuses one period's steps, and the 25,152 tiles of the genus-2 arcs of
+length at most 8 have 278 contexts.
+
 Matchings.  The expansion is a transfer program with one step per tile that
 reads only the layout: labels, `hor_is_a`, diagonals, glue directions and
 the wrap.  Its state is the covered bits of the corners of the tile's
@@ -83,6 +96,7 @@ _CORNER_OFFSETS = {"SW": (0, 0), "SE": (1, 0), "NE": (1, 1), "NW": (0, 1)}
 # Corner i of an outgoing side E/N is corner i of the next tile's incoming
 # side W/S.
 _EDGE_CORNERS = {"S": ("SW", "SE"), "E": ("SE", "NE"), "N": ("NW", "NE"), "W": ("SW", "NW")}
+_SLOT = {dr: i for i, dr in enumerate(_DIRS)}  # a side's index in `Tile.labels`
 _ENTRY = {"E": "W", "N": "S"}  # the side a tile is entered on, by the side the previous left
 # the corner that two adjacent sides share
 _SHARED_CORNER = {(a, b): c for a in _DIRS for b in _DIRS if a != b
@@ -145,53 +159,76 @@ class _Edge:
         return f"_Edge({self.index}, {self.label}, tiles={self.tiles})"
 
 
-def _lay_out(T, crossings, walk, loop):
-    """Draw every tile in one pass; returns (tiles, glue_dirs) where
-    glue_dirs[j] joins tile j to tile j+1 (a band's wrap, always W to E,
-    is not included)."""
+class _Drawing:
+    """The drawing of every tile in one context, shared by all the graphs of
+    one triangulation, and that tile's transfer steps, made on first use
+    (slot 2 * principal + band's last tile)."""
+
+    __slots__ = ("labels", "sign", "diag_corners", "hor_is_a", "exit", "steps")
+
+    def __init__(self, labels, sign, diag_corners, hor_is_a, exit_):
+        self.labels, self.sign, self.diag_corners = labels, sign, diag_corners
+        self.hor_is_a, self.exit, self.steps = hor_is_a, exit_, [None] * 4
+
+
+def _draw(T, tri_b, tri_f, prev, c, nxt, entered):
+    """The turn rule for the tile of crossing c between triangles tri_b and
+    tri_f, after crossing prev (None: a snake's first tile) and before
+    crossing nxt (None: a snake's last tile), entered from the direction the
+    previous tile was left in."""
+    tri_b, tri_f = T.triangles[tri_b], T.triangles[tri_f]
+    sides = sides_after(tri_b, c) + sides_after(tri_f, c)  # s12 s23 s34 s41
+    # slots of the incoming and outgoing glue edges, which carry the third
+    # sides of the turning triangles
+    a = None if prev is None else (0 if turn(tri_b, prev, c)[0] == "R" else 1)
+    b = None if nxt is None else (3 if turn(tri_f, c, nxt)[0] == "R" else 2)
+    if a is None:
+        sign, r = 1, (3 if b == 2 else 2)  # leave east
+    else:
+        # slot a faces the previous tile: S if that was left N, W if left E
+        p = 0 if entered == "N" else 3
+        sign, r = 1, p - a
+        if b is not None and (r + b) % 4 in (0, 3):
+            sign, r = -1, p + a
+    at = [_DIRS[(r + sign * i) % 4] for i in range(4)]
+    return _Drawing(
+        labels=tuple((dr, sides[at.index(dr)]) for dr in _DIRS),
+        sign=sign,
+        diag_corners=(_SHARED_CORNER[at[3], at[0]], _SHARED_CORNER[at[1], at[2]]),
+        hor_is_a=r % 2 == 0,
+        exit_=None if b is None else at[b],
+    )
+
+
+def _lay_out(T, crossings, walk, loop, new):
+    """Draw every tile in one pass, each from its context (see "Context
+    tables" above); returns (tiles, glue_dirs, drawings) where glue_dirs[j]
+    joins tile j to tile j+1 (a band's wrap, always W to E, is not
+    included).  Contexts missing from `T.tile_contexts` are drawn into
+    `new`."""
+    table = T.tile_contexts
     d = len(crossings)
-    # turns[j]: the turn of the triangle between crossings j and j+1
-    turns = [
-        turn(T.triangles[walk[j + 1]], crossings[j], crossings[(j + 1) % d])[0]
-        for j in range(d if loop else d - 1)
-    ]
-    tiles, exits = [], []
-    grid = (0, 0)
+    tiles, drawings = [], []
+    x = y = 0
+    # a band's first tile is entered on W, as if the tile before it was left E
+    prev, entered = (crossings[-1], "E") if loop else (None, None)
     for j, c in enumerate(crossings):
-        tri_b, tri_f = T.triangles[walk[j]], T.triangles[walk[j + 1]]
-        sides = sides_after(tri_b, c) + sides_after(tri_f, c)  # s12 s23 s34 s41
-        # slots of the incoming and outgoing glue edges, which carry the
-        # third sides of the turning triangles
-        a = (0 if turns[j - 1] == "R" else 1) if loop or j else None
-        b = (3 if turns[j] == "R" else 2) if j < len(turns) else None
-        if a is None:
-            sign, r = 1, (3 if b == 2 else 2)  # leave east
+        nxt = crossings[(j + 1) % d] if loop or j < d - 1 else None
+        key = (walk[j], prev, c, nxt, entered)
+        drawing = table.get(key) or new.get(key)
+        if drawing is None:
+            drawing = new[key] = _draw(T, walk[j], walk[j + 1], prev, c, nxt, entered)
+        tiles.append(Tile(j + 1, (x, y), c, drawing.labels, drawing.sign,
+                          drawing.diag_corners, drawing.hor_is_a))
+        drawings.append(drawing)
+        prev, entered = c, drawing.exit
+        if entered == "E":
+            x += 1
         else:
-            # slot a faces the previous tile: S if that was left N, W if left
-            # E (a band's first tile is entered from E)
-            p = 0 if exits and exits[-1] == "N" else 3
-            sign, r = 1, p - a
-            if b is not None and (r + b) % 4 in (0, 3):
-                sign, r = -1, p + a
-        at = [_DIRS[(r + sign * i) % 4] for i in range(4)]
-        if j:
-            grid = (grid[0] + 1, grid[1]) if exits[-1] == "E" else (grid[0], grid[1] + 1)
-        if b is not None:
-            exits.append(at[b])
-        tiles.append(
-            Tile(
-                position=j + 1,
-                grid=grid,
-                diagonal=c,
-                labels=tuple((dr, sides[at.index(dr)]) for dr in _DIRS),
-                sign=sign,
-                diag_corners=(_SHARED_CORNER[at[3], at[0]], _SHARED_CORNER[at[1], at[2]]),
-                hor_is_a=r % 2 == 0,
-            )
-        )
-    if loop and exits[-1] != "E":
+            y += 1
+    if loop and entered != "E":
         raise SnakeError("band drawing does not close up (odd turn parity)")
-    return tiles, exits[: d - 1]
+    return tiles, [drawing.exit for drawing in drawings[: d - 1]], drawings
 
 
 class MatchingGraph:
@@ -203,7 +240,7 @@ class MatchingGraph:
     _TABLES = {"edges", "tile_edges", "vertices", "hor_mask", "ver_mask", "up_from_hor",
                "edge_weight", "_edge_vmask"}
 
-    def __init__(self, T, crossings, walk, tiles, glue_dirs, wrap=None):
+    def __init__(self, T, crossings, walk, tiles, glue_dirs, wrap=None, drawings=None):
         self.triangulation = T
         self.n_arcs = T.n_arcs
         self.crossings = tuple(crossings)
@@ -212,10 +249,13 @@ class MatchingGraph:
         self.glue_dirs = tuple(glue_dirs)
         self.wrap = wrap  # None or (first_dir, last_dir)
         self._minimal = None
+        # the shared drawing of each tile when it came from `_lay_out`; the
+        # expansion keeps its steps there
+        self._drawings = drawings
         # each glue side, and a band's wrap, carries one label on both tiles
         pairs = [(tiles[j], dr, tiles[j + 1], _ENTRY[dr]) for j, dr in enumerate(self.glue_dirs)]
         for t, dr, u, du in pairs + ([(tiles[-1], wrap[1], tiles[0], wrap[0])] if wrap else []):
-            a, b = t.edge_labels[dr], u.edge_labels[du]
+            a, b = t.labels[_SLOT[dr]][1], u.labels[_SLOT[du]][1]
             if a != b:
                 raise SnakeError(f"glued sides {dr} of tile {t.position} and {du} of tile "
                                  f"{u.position} differ: {a} vs {b}")
@@ -435,11 +475,22 @@ class MatchingGraph:
         return tuple(xe)
 
 
+def _graph(T, seq, walk, wrap=None):
+    """Lay out and check a graph.  The tile contexts it drew first join
+    `T.tile_contexts` only once every check passed, so a failed build
+    leaves no entry behind."""
+    new = {}
+    tiles, glue_dirs, drawings = _lay_out(T, seq, walk, wrap is not None, new)
+    G = MatchingGraph(T, seq, walk, tiles, glue_dirs, wrap, drawings)
+    T.tile_contexts.update(new)
+    return G
+
+
 def build_snake(T, crossing):
     """Snake graph of an arc: one tile per crossing."""
     seq = tuple(crossing.sequence)
     walk = T.triangle_walk(seq, crossing.start_triangle)
-    return MatchingGraph(T, seq, walk, *_lay_out(T, seq, walk, loop=False))
+    return _graph(T, seq, walk)
 
 
 def build_band(T, loop, start_triangle=None):
@@ -453,7 +504,7 @@ def build_band(T, loop, start_triangle=None):
         raise SnakeError(
             f"loop {seq} does not validate against the triangulation"
         ) from exc
-    return MatchingGraph(T, seq, walk, *_lay_out(T, seq, walk, loop=True), ("W", "E"))
+    return _graph(T, seq, walk, ("W", "E"))
 
 
 def trim_to_band(S):
@@ -509,44 +560,57 @@ def expand_band(Bd, coeffs="principal"):
     return _expansion(Bd, coeffs)
 
 
+def _step(G, j, ny, unit):
+    """Tile j's transfer step: ({in_state: [(key offset, out_state), ...]},
+    its share of the start key, the key offset of its W side).  State bit
+    2: a wrap copy taken.  It depends only on the tile's context, the
+    coefficient mode and whether it is a band's last tile."""
+    tile, band, last = G.tiles[j], G.wrap is not None, j == len(G.tiles) - 1
+    in_dir = _ENTRY[G.glue_dirs[j - 1]] if j else ("W" if band else None)
+    out_dir = "E" if last else G.glue_dirs[j]
+    off = {dr: unit[side.index - 1] if side.kind == "A" else 0 for dr, side in tile.labels}
+    w_off = off["W"]
+    shift = -unit[tile.diagonal - 1]  # the denominator x_{i_j}
+    if ny:  # ray rule: tile j has height 1 when f is in one of P and P_min
+        f = _FIRST_OWN[in_dir, None if last and not band else out_dir]
+        y = unit[G.n_arcs + tile.diagonal - 1]
+        if (f in "EW") == tile.hor_is_a:  # f is in P_min
+            shift += y
+            y = -y
+        off[f] += y
+    wrap_bit = 4 if band and last else 0
+    moves = {
+        s: [(sum([off[dr] for dr in sides]), t | wrap_bit if out_dir in sides else t)
+            for sides, t in moves]
+        for s, moves in _TRANSFER[in_dir, out_dir].items()
+    }
+    return moves, shift, w_off
+
+
 def _expansion(G, coeffs):
     """Transfer program over the tiles, a band cut open at its wrap; see
-    "Matchings" in the module docstring."""
+    "Matchings" in the module docstring.  A graph from `build_snake` or
+    `build_band` keeps each step in its tile's shared drawing."""
     if coeffs not in ("principal", "trivial"):
         raise SnakeError(f"coeffs must be 'principal' or 'trivial', not {coeffs!r}")
     n = G.n_arcs
     ny = n if coeffs == "principal" else 0
     codec = term_codec(n + ny)  # fields x1..xn, then y1..yn
-    unit = codec.units
-    start = codec.zero - sum(unit[a - 1] for a in G.crossings)
-    band, d = G.wrap is not None, len(G.tiles)
-    # steps[j][in_state]: (key offset, out_state) per move; state bit 2: a wrap copy taken
+    band, d, drawings = G.wrap is not None, len(G.tiles), G._drawings
     steps = []
-    in_dir = "W" if band else None
-    for j, tile in enumerate(G.tiles):
-        last = j == d - 1
-        out_dir = "E" if last else G.glue_dirs[j]
-        off = {dr: unit[side.index - 1] if side.kind == "A" else 0 for dr, side in tile.labels}
-        if not j:
-            wrap_x = off["W"]  # a band's first W side: the other copy of its wrap
-        if ny:  # ray rule: tile j has height 1 when f is in one of P and P_min
-            f = _FIRST_OWN[in_dir, None if last and not band else out_dir]
-            y = unit[n + tile.diagonal - 1]
-            if (f in "EW") == tile.hor_is_a:  # f is in P_min
-                start += y
-                y = -y
-            off[f] += y
-        wrap_bit = 4 if band and last else 0
-        steps.append({
-            s: [(sum([off[dr] for dr in sides]), t | wrap_bit if out_dir in sides else t)
-                for sides, t in moves]
-            for s, moves in _TRANSFER[in_dir, out_dir].items()
-        })
-        in_dir = _ENTRY[out_dir]
+    for j in range(d):
+        k = 2 * (ny > 0) + (band and j == d - 1)
+        step = drawings[j].steps[k] if drawings else None
+        if step is None:
+            step = _step(G, j, ny, codec.units)
+            if drawings:
+                drawings[j].steps[k] = step
+        steps.append(step)
+    start = codec.zero + sum([step[1] for step in steps])
 
     # the first W copy of a band's wrap is taken (state 7) or not (0)
-    states = {0: {start - wrap_x: 1}, 7: {start: 1}} if band else {0: {start: 1}}
-    for moves in steps:
+    states = {0: {start - steps[0][2]: 1}, 7: {start: 1}} if band else {0: {start: 1}}
+    for moves, _, _ in steps:
         nxt = {}
         for s, terms in states.items():
             for off, t in moves[s & 3]:

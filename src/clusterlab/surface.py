@@ -47,6 +47,14 @@ class SideRef:
         raise SurfaceError(f"cannot parse side {text!r}")
 
 
+def _check_ints(values, what):
+    """Reject non-int indices, a bool included: dict lookups would treat 1.0
+    and True as 1."""
+    if set(map(type, values)) - {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise SurfaceError(f"{what} must be an int, not {bad!r}")
+
+
 def arc(i):
     return SideRef("A", i)
 
@@ -104,6 +112,7 @@ class LoopCrossing:
         seq = tuple(self.cyclic_sequence)
         if not seq:
             raise SurfaceError("empty loop crossing sequence")
+        _check_ints(seq, "crossed arc")
         rotations = [seq[i:] + seq[:i] for i in range(len(seq))]
         object.__setattr__(self, "cyclic_sequence", min(rotations))
 
@@ -112,6 +121,7 @@ class LoopCrossing:
 
     def repeated(self, k):
         """The k-fold wrap of this loop (bracelet crossing sequence)."""
+        _check_ints((k,), "repeat count")
         return LoopCrossing(self.cyclic_sequence * k)
 
 
@@ -274,6 +284,21 @@ class Triangulation:
 
     # -- crossing-sequence walks ----------------------------------------------
 
+    @functools.cached_property
+    def _next_triangle(self):
+        """(triangle index, arc index) -> the triangle across that arc, for
+        every arc with two slots, built on first use."""
+        return {(t, a): u for a, slots in self._slot_table.items() if len(slots) == 2
+                for (t, _), (u, _) in (slots, slots[::-1])}
+
+    @functools.cached_property
+    def tile_contexts(self):
+        """Memo of `snake`'s tile drawings and transfer steps, keyed by tile
+        context and filled as graphs are built; empty until then.  The
+        triangles are immutable, so an entry never goes stale, and each
+        triangulation object has a table of its own."""
+        return {}
+
     def other_triangle(self, a, t):
         slots = self._slot_table.get(a, ())
         if len(slots) != 2:
@@ -301,36 +326,41 @@ class Triangulation:
         d = len(crossings)
         if not d:
             raise SurfaceError("empty crossing sequence")
+        _check_ints(crossings, "crossed arc")
         pairs = zip(crossings, crossings[1:] + crossings[:1] if loop else crossings[1:])
         if any(a == b for a, b in pairs):
             raise SurfaceError(
                 "consecutive crossings of the same arc would need a self-folded triangle"
             )
-        if start_triangle is not None and not 0 <= start_triangle < len(self.triangles):
-            raise SurfaceError(
-                f"start triangle {start_triangle} out of range 0..{len(self.triangles) - 1}"
-            )
+        if start_triangle is not None:
+            _check_ints((start_triangle,), "start triangle")
+            if not 0 <= start_triangle < len(self.triangles):
+                raise SurfaceError(
+                    f"start triangle {start_triangle} out of range 0..{len(self.triangles) - 1}"
+                )
         starts = (
             [start_triangle]
             if start_triangle is not None
-            else [t for t in range(len(self.triangles)) if self._has_arc(t, crossings[0])]
+            else sorted({t for t, _ in self._slot_table.get(crossings[0], ())})
         )
+        nxt = self._next_triangle
         last_err = None
         for t0 in starts:
             walk = [t0]
-            ok = True
-            for j in range(d):
-                if not self._has_arc(walk[-1], crossings[j]):
-                    ok, last_err = False, f"triangle {walk[-1]} misses arc {crossings[j]}"
+            t = t0
+            for a in crossings:
+                t = nxt.get((t, a))
+                if t is None:
+                    if self._has_arc(walk[-1], a):
+                        self.other_triangle(a, walk[-1])  # raises: arc a lacks two slots
+                    last_err = f"triangle {walk[-1]} misses arc {a}"
                     break
-                walk.append(self.other_triangle(crossings[j], walk[-1]))
-            if not ok:
-                continue
-            if loop:
-                if walk[-1] != walk[0]:
+                walk.append(t)
+            else:
+                if loop and t != t0:
                     last_err = "loop walk does not close up"
                     continue
-            return walk
+                return walk
         raise SurfaceError(
             f"invalid crossing sequence {crossings}: {last_err or 'no valid start triangle'}"
         )
@@ -342,9 +372,11 @@ class Triangulation:
         triangle's arc sides in listed order, never recrossing the arc just
         crossed.  `same_turn` keeps only the walks in which every triangle
         turns the same way (see `turn`)."""
-        tris = self.triangles
-        if start is not None and not 0 <= start < len(tris):
-            raise SurfaceError(f"start triangle {start} out of range 0..{len(tris) - 1}")
+        tris, nxt = self.triangles, self._next_triangle
+        if start is not None:
+            _check_ints((start,), "start triangle")
+            if not 0 <= start < len(tris):
+                raise SurfaceError(f"start triangle {start} out of range 0..{len(tris) - 1}")
 
         def extend(seq, walk, last_turn):
             if seq:
@@ -358,8 +390,10 @@ class Triangulation:
                 t = turn(tri, seq[-1], s.index)[0] if same_turn and seq else None
                 if last_turn and t != last_turn:
                     continue
-                nxt = self.other_triangle(s.index, walk[-1])
-                yield from extend(seq + (s.index,), walk + [nxt], t)
+                u = nxt.get((walk[-1], s.index))
+                if u is None:
+                    u = self.other_triangle(s.index, walk[-1])  # raises
+                yield from extend(seq + (s.index,), walk + [u], t)
 
         for t0 in range(len(tris)) if start is None else (start,):
             yield from extend((), [t0], None)

@@ -21,6 +21,7 @@ from clusterlab.snake import (
 from clusterlab.surface import (
     ArcCrossing,
     LoopCrossing,
+    SurfaceError,
     annulus_fixture,
     boundary,
     builtin_genus,
@@ -127,11 +128,24 @@ def test_trim_to_band_preconditions():
         trim_to_band(build_snake(T, ArcCrossing((4, 2, 1))))
 
 
-@pytest.mark.parametrize("seq, start", [((1, 3), None), ((3, 4), None), ((1, 2), 2)])
+@pytest.mark.parametrize(
+    "seq, start", [((1, 3), None), ((3, 4), None), ((1, 2), 2), ((1, 2), 1.0), ((1, 2), True)]
+)
 def test_build_band_rejects_invalid_loops(seq, start):
     T = builtin_genus1()
     with pytest.raises(SnakeError, match=r"does not validate against the triangulation"):
         build_band(T, LoopCrossing(seq), start_triangle=start)
+
+
+@pytest.mark.parametrize(
+    "arc",
+    [ArcCrossing((1,), start_triangle=1.0), ArcCrossing((1,), start_triangle="1"),
+     ArcCrossing((1,), start_triangle=True), ArcCrossing((1.0, 2)), ArcCrossing((True, 2))],
+)
+def test_build_snake_rejects_non_int_indices(arc):
+    # 1.0 and True would look up as 1 in the surface's tables
+    with pytest.raises(SurfaceError, match=r"must be an int, not "):
+        build_snake(builtin_genus2(), arc)
 
 
 def test_band_with_odd_turn_parity_is_an_error():
@@ -491,34 +505,47 @@ def test_unknown_coefficient_mode_is_a_snake_error():
 BUILD_OUTCOMES_SHA256 = "17533f0fe3415a45a9f1423f0d69ccd01a16c78e35c764784176f9a142eb2d85"
 
 
-def _build_outcome(build):
+def _build_outcome(build, T):
+    n_entries = len(T.tile_contexts)
     try:
         return "ok", build()
     except Exception as exc:  # the type and text are the recorded outcome
+        assert len(T.tile_contexts) == n_entries, "a failed build left a table entry"
         return f"{type(exc).__name__}: {exc}", None
 
 
-def test_build_errors_are_raised_at_build():
-    # Every arc of length <= 8 at genus 1-2 and <= 7 at genus 3, the trims of
-    # those that start and end on one arc, and every closed walk of length
-    # 2..6 as a loop: each build either raises the recorded error text or
-    # gives a graph on which every graph-only invariant of `_build` and the
-    # closed-form minimal matching hold, and which expands.
+def _build_outcomes(surfaces):
+    """Every arc of length <= 8 at genus 1-2 and <= 7 at genus 3, the trims of
+    those that start and end on one arc, and every closed walk of length
+    2..6 as a loop: the outcome lines, and the graphs (None where the build
+    raised)."""
     lines, graphs = [], []
     for g, max_len in ((1, 8), (2, 8), (3, 7)):
-        T = builtin_genus(g)
+        T = surfaces[g]
         for t0, seq, walk in T.arc_walks(max_len):
-            out, S = _build_outcome(lambda: build_snake(T, ArcCrossing(seq, start_triangle=t0)))
+            out, S = _build_outcome(lambda: build_snake(T, ArcCrossing(seq, start_triangle=t0)), T)
             lines.append(f"genus{g} arc {t0} {seq}: {out}")
             graphs.append(S)
             if len(seq) >= 3 and seq[0] == seq[-1]:
-                out, B = _build_outcome(lambda: trim_to_band(S))
+                out, B = _build_outcome(lambda: trim_to_band(S), T)
                 lines.append(f"genus{g} trim {t0} {seq}: {out}")
                 graphs.append(B)
             if 2 <= len(seq) <= 6 and walk[-1] == walk[0]:
-                out, B = _build_outcome(lambda: build_band(T, LoopCrossing(seq)))
+                out, B = _build_outcome(lambda: build_band(T, LoopCrossing(seq)), T)
                 lines.append(f"genus{g} loop {t0} {seq}: {out}")
                 graphs.append(B)
+    return lines, graphs
+
+
+def test_build_errors_are_raised_at_build():
+    # Each build either raises the recorded error text or gives a graph on
+    # which every graph-only invariant of `_build` and the closed-form
+    # minimal matching hold, and which expands.  A failed build leaves no
+    # tile context behind, and rebuilding with the tables warm gives the
+    # same outcomes.
+    surfaces = {g: builtin_genus(g) for g in (1, 2, 3)}
+    lines, graphs = _build_outcomes(surfaces)
+    assert _build_outcomes(surfaces)[0] == lines
 
     def kind(line):
         out = line.split(": ", 1)[1]
@@ -542,6 +569,63 @@ def test_build_errors_are_raised_at_build():
         if G is not None:
             G.minimal_mask()  # builds the graph tables
             assert (expand if G.wrap is None else expand_band)(G, "trivial").terms
+
+
+def _genus2_builders():
+    """A builder, from a genus-2 triangulation, of every genus-2 arc of
+    length <= 6 from every start triangle, of each trim of one that builds,
+    and of each closed walk of length 2..6 as a loop that builds."""
+    T = builtin_genus(2)
+    builders = []
+    for t0, seq, walk in T.arc_walks(6):
+        arc = ArcCrossing(seq, start_triangle=t0)
+        builders.append(lambda T, arc=arc: build_snake(T, arc))
+        if len(seq) >= 3 and seq[0] == seq[-1] and _trimmed(build_snake(T, arc)):
+            builders.append(lambda T, arc=arc: trim_to_band(build_snake(T, arc)))
+        if 2 <= len(seq) and walk[-1] == walk[0]:
+            loop = LoopCrossing(seq)
+            if _build_outcome(lambda: build_band(T, loop), T)[0] == "ok":
+                builders.append(lambda T, loop=loop: build_band(T, loop))
+    return builders
+
+
+def _drawn(G):
+    """Everything the layout and both expansions give for a graph."""
+    run = expand if G.wrap is None else expand_band
+    tiles = [(t.position, t.grid, t.diagonal, t.labels, t.sign, t.diag_corners, t.hor_is_a)
+             for t in G.tiles]
+    return tiles, G.glue_dirs, G.wrap, run(G, "principal"), run(G, "trivial")
+
+
+def test_warm_tables_draw_and_expand_as_cold_ones():
+    builders = _genus2_builders()
+    kinds = Counter("snake" if G.wrap is None else "band" for G in (b(builtin_genus(2)) for b in builders))
+    assert kinds == {"snake": 1006, "band": 64}
+    # cold: a fresh triangulation per graph
+    cold = [_drawn(build(builtin_genus(2))) for build in builders]
+    # warm: one triangulation, its tables filled by every graph in reverse order
+    T = builtin_genus(2)
+    for build in reversed(builders):
+        _drawn(build(T))
+    n_entries = len(T.tile_contexts)
+    assert [_drawn(build(T)) for build in builders] == cold
+    assert len(T.tile_contexts) == n_entries  # every context was warm
+
+
+def test_triangulations_never_share_table_entries():
+    T1, T2, T3 = builtin_genus(1), builtin_genus(2), builtin_genus(2)
+    assert T2 == T3 and not T2.tile_contexts and not T3.tile_contexts
+    arc = ArcCrossing((1, 2, 1), start_triangle=0)
+    S2 = build_snake(T2, arc)
+    assert expand(S2) and T2.tile_contexts and not T3.tile_contexts and not T1.tile_contexts
+    S3, S1 = build_snake(T3, arc), build_snake(T1, arc)
+    assert T2.tile_contexts.keys() == T3.tile_contexts.keys()
+    entries = [{id(e) for e in T.tile_contexts.values()} for T in (T1, T2, T3)]
+    assert not (entries[0] & entries[1] or entries[0] & entries[2] or entries[1] & entries[2])
+    # one crossing sequence, drawn from each surface's own triangles
+    assert T1.tile_contexts.keys() & T2.tile_contexts.keys()
+    assert [t.labels for t in S1.tiles] != [t.labels for t in S2.tiles]
+    assert [t.labels for t in S2.tiles] == [t.labels for t in S3.tiles]
 
 
 def _descended_minimal(G):

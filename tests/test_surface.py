@@ -101,11 +101,44 @@ def test_triangle_walk_start_and_errors():
     assert len(walk) == 5 and walk[0] == walk[-1] == 2  # the boundary triangle
     with pytest.raises(SurfaceError):
         T.triangle_walk((3, 3))  # immediate re-crossing needs a self-folded triangle
-    with pytest.raises(SurfaceError):
+    with pytest.raises(SurfaceError, match=r"^invalid crossing sequence \(1, 3, 1\): "
+                       r"triangle 2 misses arc 1$"):
         T.triangle_walk((1, 3, 1))  # no side of arc 3 leads back across arc 1
+    with pytest.raises(SurfaceError, match=r"\(7,\): no valid start triangle$"):
+        T.triangle_walk((7,))
     for loop in (False, True):
         with pytest.raises(SurfaceError, match="empty crossing sequence"):
             T.triangle_walk((), loop=loop)
+    # an arc with one slot has no triangle across it, on every walking path
+    one_slot = Triangulation(genus=0, n_arcs=2, n_boundary=1, n_marked=1,
+                             triangles=((arc(1), arc(2), boundary(1)),))
+    for walk in (lambda: one_slot.triangle_walk((1,)), lambda: list(one_slot.arc_walks(2)),
+                 lambda: one_slot.other_triangle(1, 0)):
+        with pytest.raises(SurfaceError, match="^arc 1 does not have two triangles$"):
+            walk()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda T: LoopCrossing((1, "2")),
+        lambda T: LoopCrossing((True, 2)),
+        lambda T: T.boundary_loop().repeated(1.0),
+        lambda T: T.boundary_loop().repeated(True),
+        lambda T: T.triangle_walk((1.0, 2)),
+        lambda T: T.triangle_walk((True, 2)),
+        lambda T: T.triangle_walk((1, 2), start_triangle=1.0),
+        lambda T: T.triangle_walk((1, 2), start_triangle="1"),
+        lambda T: T.triangle_walk((1, 2), start_triangle=False),
+        lambda T: next(T.arc_walks(3, start=1.0)),
+        lambda T: next(T.arc_walks(3, start=True)),
+    ],
+)
+def test_non_int_indices_are_surface_errors(call):
+    # 1.0 and True look up as 1 in the surface's tables, so they are
+    # rejected rather than read as arc or triangle 1
+    with pytest.raises(SurfaceError, match=r"must be an int, not "):
+        call(builtin_genus2())
 
 
 def test_boundary_loop_lengths_and_validity():

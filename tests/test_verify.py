@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import clusterlab
 from clusterlab import verify
 from clusterlab.algebra import LaurentPolynomial as LP
 from clusterlab.cli import main as cli_main
@@ -239,6 +244,20 @@ def test_specialize_trivial_on_expansion_positive():
 def test_cli_verify_unknown_case(capsys):
     assert cli_main(["verify", "nonsense"]) == 2
     assert "unknown case" in capsys.readouterr().err
+
+
+def test_python_dash_m_clusterlab_runs_the_cli():
+    src = str(Path(clusterlab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "clusterlab", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    ok, bad = run("verify", "eq1"), run("verify", "nosuch")
+    assert (ok.returncode, ok.stderr) == (0, "") and ok.stdout.startswith("PASS    eq1")
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert bad.stderr.startswith("clusterlab: error: unknown case 'nosuch'")
 
 
 def test_typed_errors_share_one_base_class():
