@@ -22,18 +22,15 @@ left east, so it closes up exactly when its last tile is left east; it then
 identifies the spare east side of the last tile with the west side of the
 first, matching the corners that touch the diagonals.
 
-Context tables.  A tile's drawing depends only on its context: the triangle
-before it, the previous, current and next crossings (None past a snake's
-ends) and the direction the previous tile was left in.  Each triangulation
-keeps a table, `Triangulation.tile_contexts`, from context to drawing
-(labels, sign, diagonal corners, `hor_is_a` and exit direction), so the
-turn rule runs once per context and a graph builds only each tile's
-position and grid.  The contexts a build draws first join the table only
-when the graph passes its checks.  A drawing also keeps the tile's
-transfer step (see Matchings) per coefficient mode, and for a band's last
-tile, made by the first expansion that needs it.  A k-fold bracelet thus
-reuses one period's steps, and the 25,152 tiles of the genus-2 arcs of
-length at most 8 have 278 contexts.
+Context tables.  A tile depends only on its context: the triangle before
+it, the previous, current and next crossings (None past a snake's ends) and
+the direction the previous tile was left in.  `Triangulation.tile_contexts`
+maps each context to its `Tile`, which every graph of that triangulation
+shares, together with the transfer steps (see Matchings) that the first
+expansion to need them fills in.  A graph's own layout is its tile list;
+contexts first drawn by a build join the table only once the graph passes
+its checks.  The 25,152 tiles of the genus-2 arcs of length at most 8 have
+278 contexts.
 
 Matchings.  The expansion is a transfer program with one step per tile that
 reads only the layout: labels, `hor_is_a`, diagonals, glue directions and
@@ -76,6 +73,7 @@ expansion.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -97,7 +95,6 @@ _CORNER_OFFSETS = {"SW": (0, 0), "SE": (1, 0), "NE": (1, 1), "NW": (0, 1)}
 # side W/S.
 _EDGE_CORNERS = {"S": ("SW", "SE"), "E": ("SE", "NE"), "N": ("NW", "NE"), "W": ("SW", "NW")}
 _SLOT = {dr: i for i, dr in enumerate(_DIRS)}  # a side's index in `Tile.labels`
-_ENTRY = {"E": "W", "N": "S"}  # the side a tile is entered on, by the side the previous left
 # the corner that two adjacent sides share
 _SHARED_CORNER = {(a, b): c for a in _DIRS for b in _DIRS if a != b
                   for c in set(_EDGE_CORNERS[a]) & set(_EDGE_CORNERS[b])}
@@ -132,13 +129,19 @@ _FIRST_OWN = {(i, o): next(dr for dr in _DIRS if dr not in (i, o))
 
 @dataclass(frozen=True)
 class Tile:
-    position: int  # 1-based index along the snake
-    grid: tuple  # drawing coordinates of the SW corner
+    """The drawing of a tile in one context, shared by every graph of one
+    triangulation, and its transfer steps, made on first use (slot
+    2 * principal + band's last tile)."""
+
     diagonal: int  # crossed arc index
     labels: tuple  # (("S", SideRef), ("E", ...), ("N", ...), ("W", ...))
     sign: int  # +1 orientation-preserving drawing, -1 reversed
     diag_corners: tuple = field(compare=False, repr=False)  # corners on the diagonal
     hor_is_a: bool = field(compare=False, repr=False)  # S, N carry sides {s12, s34}
+    entry: str | None  # incoming glue side, S or W (None: a snake's first tile)
+    exit: str | None  # outgoing glue side, E or N (None: a snake's last tile)
+    steps: list = field(init=False, compare=False, repr=False,
+                        default_factory=lambda: [None] * 4)
 
     @property
     def edge_labels(self):
@@ -159,18 +162,6 @@ class _Edge:
         return f"_Edge({self.index}, {self.label}, tiles={self.tiles})"
 
 
-class _Drawing:
-    """The drawing of every tile in one context, shared by all the graphs of
-    one triangulation, and that tile's transfer steps, made on first use
-    (slot 2 * principal + band's last tile)."""
-
-    __slots__ = ("labels", "sign", "diag_corners", "hor_is_a", "exit", "steps")
-
-    def __init__(self, labels, sign, diag_corners, hor_is_a, exit_):
-        self.labels, self.sign, self.diag_corners = labels, sign, diag_corners
-        self.hor_is_a, self.exit, self.steps = hor_is_a, exit_, [None] * 4
-
-
 def _draw(T, tri_b, tri_f, prev, c, nxt, entered):
     """The turn rule for the tile of crossing c between triangles tri_b and
     tri_f, after crossing prev (None: a snake's first tile) and before
@@ -182,53 +173,46 @@ def _draw(T, tri_b, tri_f, prev, c, nxt, entered):
     # sides of the turning triangles
     a = None if prev is None else (0 if turn(tri_b, prev, c)[0] == "R" else 1)
     b = None if nxt is None else (3 if turn(tri_f, c, nxt)[0] == "R" else 2)
+    # slot a faces the previous tile: S if that was left N, W if left E
+    entry = None if a is None else ("S" if entered == "N" else "W")
     if a is None:
         sign, r = 1, (3 if b == 2 else 2)  # leave east
     else:
-        # slot a faces the previous tile: S if that was left N, W if left E
-        p = 0 if entered == "N" else 3
-        sign, r = 1, p - a
+        sign, r = 1, _SLOT[entry] - a
         if b is not None and (r + b) % 4 in (0, 3):
-            sign, r = -1, p + a
+            sign, r = -1, _SLOT[entry] + a
     at = [_DIRS[(r + sign * i) % 4] for i in range(4)]
-    return _Drawing(
+    return Tile(
+        diagonal=c,
         labels=tuple((dr, sides[at.index(dr)]) for dr in _DIRS),
         sign=sign,
         diag_corners=(_SHARED_CORNER[at[3], at[0]], _SHARED_CORNER[at[1], at[2]]),
         hor_is_a=r % 2 == 0,
-        exit_=None if b is None else at[b],
+        entry=entry,
+        exit=None if b is None else at[b],
     )
 
 
 def _lay_out(T, crossings, walk, loop, new):
-    """Draw every tile in one pass, each from its context (see "Context
-    tables" above); returns (tiles, glue_dirs, drawings) where glue_dirs[j]
-    joins tile j to tile j+1 (a band's wrap, always W to E, is not
-    included).  Contexts missing from `T.tile_contexts` are drawn into
-    `new`."""
+    """Every tile in order, each the shared tile of its context (see
+    "Context tables" above).  Contexts missing from `T.tile_contexts` are
+    drawn into `new`."""
     table = T.tile_contexts
     d = len(crossings)
-    tiles, drawings = [], []
-    x = y = 0
+    tiles = []
     # a band's first tile is entered on W, as if the tile before it was left E
     prev, entered = (crossings[-1], "E") if loop else (None, None)
     for j, c in enumerate(crossings):
         nxt = crossings[(j + 1) % d] if loop or j < d - 1 else None
         key = (walk[j], prev, c, nxt, entered)
-        drawing = table.get(key) or new.get(key)
-        if drawing is None:
-            drawing = new[key] = _draw(T, walk[j], walk[j + 1], prev, c, nxt, entered)
-        tiles.append(Tile(j + 1, (x, y), c, drawing.labels, drawing.sign,
-                          drawing.diag_corners, drawing.hor_is_a))
-        drawings.append(drawing)
-        prev, entered = c, drawing.exit
-        if entered == "E":
-            x += 1
-        else:
-            y += 1
+        tile = table.get(key) or new.get(key)
+        if tile is None:
+            tile = new[key] = _draw(T, walk[j], walk[j + 1], prev, c, nxt, entered)
+        tiles.append(tile)
+        prev, entered = c, tile.exit
     if loop and entered != "E":
         raise SnakeError("band drawing does not close up (odd turn parity)")
-    return tiles, [drawing.exit for drawing in drawings[: d - 1]], drawings
+    return tiles
 
 
 class MatchingGraph:
@@ -240,25 +224,24 @@ class MatchingGraph:
     _TABLES = {"edges", "tile_edges", "vertices", "hor_mask", "ver_mask", "up_from_hor",
                "edge_weight", "_edge_vmask"}
 
-    def __init__(self, T, crossings, walk, tiles, glue_dirs, wrap=None, drawings=None):
+    def __init__(self, T, crossings, walk, tiles, wrap=None):
         self.triangulation = T
         self.n_arcs = T.n_arcs
         self.crossings = tuple(crossings)
         self.walk = tuple(walk)
         self.tiles = tiles  # list of Tile
-        self.glue_dirs = tuple(glue_dirs)
+        # glue_dirs[j] joins tile j to tile j+1; a band's wrap is not included
+        self.glue_dirs = tuple(t.exit for t in tiles[:-1])
         self.wrap = wrap  # None or (first_dir, last_dir)
         self._minimal = None
-        # the shared drawing of each tile when it came from `_lay_out`; the
-        # expansion keeps its steps there
-        self._drawings = drawings
         # each glue side, and a band's wrap, carries one label on both tiles
-        pairs = [(tiles[j], dr, tiles[j + 1], _ENTRY[dr]) for j, dr in enumerate(self.glue_dirs)]
-        for t, dr, u, du in pairs + ([(tiles[-1], wrap[1], tiles[0], wrap[0])] if wrap else []):
-            a, b = t.labels[_SLOT[dr]][1], u.labels[_SLOT[du]][1]
+        d = len(tiles)
+        for j in range(d if wrap else d - 1):
+            t, u = tiles[j], tiles[(j + 1) % d]
+            a, b = t.labels[_SLOT[t.exit]][1], u.labels[_SLOT[u.entry]][1]
             if a != b:
-                raise SnakeError(f"glued sides {dr} of tile {t.position} and {du} of tile "
-                                 f"{u.position} differ: {a} vs {b}")
+                raise SnakeError(f"glued sides {t.exit} of tile {j + 1} and {u.entry} of tile "
+                                 f"{(j + 1) % d + 1} differ: {a} vs {b}")
 
     def __getattr__(self, name):
         if name not in MatchingGraph._TABLES:
@@ -268,9 +251,24 @@ class MatchingGraph:
 
     # -- construction ------------------------------------------------------
 
-    def _corner(self, tile, name):
+    @functools.cached_property
+    def grid(self):
+        """Drawing coordinates of each tile's SW corner: a tile sits one step
+        east or north of the previous one, by the side that one left."""
+        x = y = 0
+        grid = []
+        for t in self.tiles:
+            grid.append((x, y))
+            if t.exit == "E":
+                x += 1
+            else:
+                y += 1
+        return grid
+
+    def _corner(self, j, name):
         ox, oy = _CORNER_OFFSETS[name]
-        return (tile.grid[0] + ox, tile.grid[1] + oy)
+        x, y = self.grid[j]
+        return (x + ox, y + oy)
 
     def _build(self):
         """Edges (sides identified across glue segments and the band wrap),
@@ -279,9 +277,9 @@ class MatchingGraph:
         seg_edge = {}  # raw segment -> edge, in tile order
         edges = []
 
-        def add_segment(tile_idx, tile, direction, label):
+        def add_segment(tile_idx, direction, label):
             c1, c2 = _EDGE_CORNERS[direction]
-            p1, p2 = self._corner(tile, c1), self._corner(tile, c2)
+            p1, p2 = self._corner(tile_idx, c1), self._corner(tile_idx, c2)
             seg = (min(p1, p2), max(p1, p2))
             e = seg_edge.get(seg)
             if e is None:
@@ -292,7 +290,7 @@ class MatchingGraph:
             return e
 
         tile_edges = [
-            {dr: add_segment(jj, tile, dr, label) for dr, label in tile.labels}
+            {dr: add_segment(jj, dr, label) for dr, label in tile.labels}
             for jj, tile in enumerate(self.tiles)
         ]
         # before a band is glued, each boundary corner meets two sides of one tile only
@@ -308,13 +306,13 @@ class MatchingGraph:
             e_last = tile_edges[-1][last_dir]
 
             # match the corners touching the tiles' diagonals
-            def split(tile, direction):
+            def split(j, direction):
                 a, b = _EDGE_CORNERS[direction]
-                if a not in tile.diag_corners:
+                if a not in self.tiles[j].diag_corners:
                     a, b = b, a
-                return self._corner(tile, a), self._corner(tile, b)
+                return self._corner(j, a), self._corner(j, b)
 
-            glued = dict(zip(split(self.tiles[0], first_dir), split(self.tiles[-1], last_dir)))
+            glued = dict(zip(split(0, first_dir), split(-1, last_dir)))
             e_last.segments.extend(e_first.segments)
             e_last.tiles.extend(e_first.tiles)
             edges.pop(e_first.index)
@@ -447,13 +445,13 @@ class MatchingGraph:
             }
         out["tiles"] = [
             {
-                "position": t.position,
-                "grid": list(t.grid),
+                "position": j + 1,
+                "grid": list(self.grid[j]),
                 "diagonal": t.diagonal,
                 "sign": t.sign,
                 "labels": {dr: str(s) for dr, s in t.labels},
             }
-            for t in self.tiles
+            for j, t in enumerate(self.tiles)
         ]
         return out
 
@@ -480,8 +478,7 @@ def _graph(T, seq, walk, wrap=None):
     `T.tile_contexts` only once every check passed, so a failed build
     leaves no entry behind."""
     new = {}
-    tiles, glue_dirs, drawings = _lay_out(T, seq, walk, wrap is not None, new)
-    G = MatchingGraph(T, seq, walk, tiles, glue_dirs, wrap, drawings)
+    G = MatchingGraph(T, seq, walk, _lay_out(T, seq, walk, wrap is not None, new), wrap)
     T.tile_contexts.update(new)
     return G
 
@@ -560,25 +557,23 @@ def expand_band(Bd, coeffs="principal"):
     return _expansion(Bd, coeffs)
 
 
-def _step(G, j, ny, unit):
-    """Tile j's transfer step: ({in_state: [(key offset, out_state), ...]},
+def _step(tile, ny, band_last, unit):
+    """The tile's transfer step: ({in_state: [(key offset, out_state), ...]},
     its share of the start key, the key offset of its W side).  State bit
-    2: a wrap copy taken.  It depends only on the tile's context, the
-    coefficient mode and whether it is a band's last tile."""
-    tile, band, last = G.tiles[j], G.wrap is not None, j == len(G.tiles) - 1
-    in_dir = _ENTRY[G.glue_dirs[j - 1]] if j else ("W" if band else None)
-    out_dir = "E" if last else G.glue_dirs[j]
+    2: a wrap copy taken.  It depends only on the tile, the coefficient mode
+    and whether it is a band's last tile."""
+    in_dir, out_dir = tile.entry, tile.exit or "E"  # a snake's last tile leaves E
     off = {dr: unit[side.index - 1] if side.kind == "A" else 0 for dr, side in tile.labels}
     w_off = off["W"]
     shift = -unit[tile.diagonal - 1]  # the denominator x_{i_j}
-    if ny:  # ray rule: tile j has height 1 when f is in one of P and P_min
-        f = _FIRST_OWN[in_dir, None if last and not band else out_dir]
-        y = unit[G.n_arcs + tile.diagonal - 1]
+    if ny:  # ray rule: the tile has height 1 when f is in one of P and P_min
+        f = _FIRST_OWN[tile.entry, tile.exit]
+        y = unit[ny + tile.diagonal - 1]
         if (f in "EW") == tile.hor_is_a:  # f is in P_min
             shift += y
             y = -y
         off[f] += y
-    wrap_bit = 4 if band and last else 0
+    wrap_bit = 4 if band_last else 0
     moves = {
         s: [(sum([off[dr] for dr in sides]), t | wrap_bit if out_dir in sides else t)
             for sides, t in moves]
@@ -589,22 +584,20 @@ def _step(G, j, ny, unit):
 
 def _expansion(G, coeffs):
     """Transfer program over the tiles, a band cut open at its wrap; see
-    "Matchings" in the module docstring.  A graph from `build_snake` or
-    `build_band` keeps each step in its tile's shared drawing."""
+    "Matchings" in the module docstring.  Each step is kept on its tile."""
     if coeffs not in ("principal", "trivial"):
         raise SnakeError(f"coeffs must be 'principal' or 'trivial', not {coeffs!r}")
     n = G.n_arcs
     ny = n if coeffs == "principal" else 0
     codec = term_codec(n + ny)  # fields x1..xn, then y1..yn
-    band, d, drawings = G.wrap is not None, len(G.tiles), G._drawings
+    band, d = G.wrap is not None, len(G.tiles)
     steps = []
-    for j in range(d):
-        k = 2 * (ny > 0) + (band and j == d - 1)
-        step = drawings[j].steps[k] if drawings else None
+    for j, tile in enumerate(G.tiles):
+        band_last = band and j == d - 1
+        k = 2 * (ny > 0) + band_last
+        step = tile.steps[k]
         if step is None:
-            step = _step(G, j, ny, codec.units)
-            if drawings:
-                drawings[j].steps[k] = step
+            step = tile.steps[k] = _step(tile, ny, band_last, codec.units)
         steps.append(step)
     start = codec.zero + sum([step[1] for step in steps])
 

@@ -29,6 +29,7 @@ class SideRef:
     index: int
 
     def __post_init__(self):
+        _check_ints((self.index,), "side index")
         if self.kind not in ("A", "B") or self.index < 1:
             raise SurfaceError(f"bad side {self.kind}{self.index}")
 
@@ -122,6 +123,8 @@ class LoopCrossing:
     def repeated(self, k):
         """The k-fold wrap of this loop (bracelet crossing sequence)."""
         _check_ints((k,), "repeat count")
+        if k < 1:
+            raise SurfaceError(f"repeat count must be >= 1, not {k}")
         return LoopCrossing(self.cyclic_sequence * k)
 
 
@@ -293,8 +296,9 @@ class Triangulation:
 
     @functools.cached_property
     def tile_contexts(self):
-        """Memo of `snake`'s tile drawings and transfer steps, keyed by tile
-        context and filled as graphs are built; empty until then.  The
+        """Memo of `snake`'s tiles, keyed by tile context and filled as
+        graphs are built; empty until then.  Each `Tile` keeps its transfer
+        steps, so every graph of this triangulation shares them.  The
         triangles are immutable, so an entry never goes stale, and each
         triangulation object has a table of its own."""
         return {}

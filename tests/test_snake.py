@@ -199,9 +199,9 @@ def test_glue_and_wrap_label_mismatches_raise_at_build():
 
     assert S.glue_dirs[-1] == "E" and B.wrap == ("W", "E")
     with pytest.raises(SnakeError, match="sides E of tile 3 and W of tile 4 differ: A2 vs B9"):
-        MatchingGraph(T, S.crossings, S.walk, relabel_last(S, "W"), S.glue_dirs)
+        MatchingGraph(T, S.crossings, S.walk, relabel_last(S, "W"))
     with pytest.raises(SnakeError, match="glued sides E of tile 2 and W of tile 1 differ"):
-        MatchingGraph(T, B.crossings, B.walk, relabel_last(B, "E"), B.glue_dirs, B.wrap)
+        MatchingGraph(T, B.crossings, B.walk, relabel_last(B, "E"), B.wrap)
 
 
 def test_debug_dump_golden():
@@ -592,8 +592,8 @@ def _genus2_builders():
 def _drawn(G):
     """Everything the layout and both expansions give for a graph."""
     run = expand if G.wrap is None else expand_band
-    tiles = [(t.position, t.grid, t.diagonal, t.labels, t.sign, t.diag_corners, t.hor_is_a)
-             for t in G.tiles]
+    tiles = [(j + 1, G.grid[j], t.diagonal, t.labels, t.sign, t.diag_corners, t.hor_is_a)
+             for j, t in enumerate(G.tiles)]
     return tiles, G.glue_dirs, G.wrap, run(G, "principal"), run(G, "trivial")
 
 
@@ -626,6 +626,15 @@ def test_triangulations_never_share_table_entries():
     assert T1.tile_contexts.keys() & T2.tile_contexts.keys()
     assert [t.labels for t in S1.tiles] != [t.labels for t in S2.tiles]
     assert [t.labels for t in S2.tiles] == [t.labels for t in S3.tiles]
+    # within one triangulation, every graph holds the table's own tiles
+    assert all(t is u for t, u in zip(build_snake(T2, arc).tiles, S2.tiles))
+    loop = T1.boundary_loop()
+    bracelet = build_band(T1, loop.repeated(3)).tiles
+    assert len(bracelet) == 3 * len(loop)
+    assert all(t is bracelet[j % len(loop)] for j, t in enumerate(bracelet))
+    # a tile made by `dataclasses.replace` starts with empty step slots
+    assert any(S2.tiles[0].steps)
+    assert dataclasses.replace(S2.tiles[0]).steps == [None] * 4
 
 
 def _descended_minimal(G):

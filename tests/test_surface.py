@@ -132,6 +132,9 @@ def test_triangle_walk_start_and_errors():
         lambda T: T.triangle_walk((1, 2), start_triangle=False),
         lambda T: next(T.arc_walks(3, start=1.0)),
         lambda T: next(T.arc_walks(3, start=True)),
+        lambda T: SideRef("A", True),
+        lambda T: SideRef("B", 1.5),
+        lambda T: SideRef("A", "1"),
     ],
 )
 def test_non_int_indices_are_surface_errors(call):
@@ -158,6 +161,12 @@ def test_loop_canonical_rotation():
     assert LoopCrossing((2, 1)).cyclic_sequence == (1, 2)
     assert LoopCrossing((3, 1, 2)) == LoopCrossing((1, 2, 3))
     assert LoopCrossing((1, 2)).repeated(2).cyclic_sequence == (1, 2, 1, 2)
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_repeat_count_below_one_is_a_surface_error(k):
+    with pytest.raises(SurfaceError, match=rf"^repeat count must be >= 1, not {k}$"):
+        LoopCrossing((1, 2)).repeated(k)
 
 
 def test_annulus_fixture_validates():

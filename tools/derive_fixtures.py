@@ -11,10 +11,10 @@ prefixes.  The result is unique and frozen in clusterlab.verify; rerun with
 
     python tools/derive_fixtures.py
 
-to confirm: it exits 1 if the result differs from the recorded arcs.  Two
-runs took 26 s and 28 s at a peak RSS of 17 MB on a shared two-core machine
-under Python 3.11.  That machine's speed drifts by up to 2x between hours,
-so compare only runs made back to back.
+to confirm: it exits 1 if the result differs from the recorded arcs.  Three
+runs took 14 s, 17 s and 17 s at a peak RSS of 17 to 19 MB on a shared
+two-core machine under Python 3.11.  That machine's speed drifts by up to 2x
+between hours, so compare only runs made back to back.
 """
 
 import time
