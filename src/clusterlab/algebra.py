@@ -546,11 +546,9 @@ class LaurentPolynomial:
         """Parse the canonical text form produced by serialize()."""
         ny = nx if ny is None else ny
         text = text.strip()
-        if text == "0":
-            return cls.zero(nx, ny)
         # normalize "a - b + c" into signed chunks
         chunks = text.replace("- ", "-").replace("+ ", "+").split()
-        poly = cls.zero(nx, ny)
+        terms = {}
         for chunk in chunks:
             sign = 1
             if chunk.startswith("-"):
@@ -575,8 +573,9 @@ class LaurentPolynomial:
                 if not 1 <= i <= len(exps):
                     raise RankMismatch(f"variable {factor!r} out of range 1..{len(exps)}")
                 exps[i - 1] += int(exp)
-            poly = poly + cls.monomial(nx, ny, coeff, xe, ye)
-        return poly
+            key = tuple(xe + ye)
+            terms[key] = terms.get(key, 0) + coeff
+        return cls(nx, ny, terms)
 
 
 # -- tropical semifield ----------------------------------------------------

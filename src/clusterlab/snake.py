@@ -67,8 +67,10 @@ it when it consists of {c1c2, c3c4}; the minimal matching is the unique
 flip-source, and `minimal_mask` checks that the closed form is perfect with
 no down-flip.  The y-weight of a matching is the product of y_{i_j} over
 tiles counted with their heights.  The edge, vertex and flip tables these
-oracles read are built by `MatchingGraph._build` on first use, never by the
-expansion.
+oracles read are read off the layout by `MatchingGraph._build` on first use,
+never by the expansion: a tile's incoming side is the previous tile's
+outgoing edge, corner i on corner i, and a band's wrap is glued as above.
+Drawing coordinates (`MatchingGraph.grid`) serve only the debug dump.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ class SnakeError(ClusterlabError):
 
 # Tile sides in counterclockwise order.
 _DIRS = ("S", "E", "N", "W")
-_CORNER_OFFSETS = {"SW": (0, 0), "SE": (1, 0), "NE": (1, 1), "NW": (0, 1)}
+_CORNERS = ("SW", "SE", "NE", "NW")
 # Corner i of an outgoing side E/N is corner i of the next tile's incoming
 # side W/S.
 _EDGE_CORNERS = {"S": ("SW", "SE"), "E": ("SE", "NE"), "N": ("NW", "NE"), "W": ("SW", "NW")}
@@ -116,7 +118,7 @@ def _transfer_table():
                 sides = [dr for i, dr in enumerate(free) if k >> i & 1]
                 cover = [c for i, c in enumerate(_EDGE_CORNERS.get(in_dir, ())) if s >> i & 1]
                 cover += [c for dr in sides for c in _EDGE_CORNERS[dr]]
-                if len(set(cover)) == len(cover) and set(_CORNER_OFFSETS) - set(out) <= set(cover):
+                if len(set(cover)) == len(cover) and set(_CORNERS) - set(out) <= set(cover):
                     moves.append((sides, sum(1 << i for i, c in enumerate(out) if c in cover)))
     return table
 
@@ -149,14 +151,13 @@ class Tile:
 
 
 class _Edge:
-    __slots__ = ("index", "label", "segments", "tiles", "vertices")
+    __slots__ = ("index", "label", "tiles", "vertices")
 
     def __init__(self, index, label):
         self.index = index
         self.label = label
-        self.segments = []  # geometric instances ((x1,y1),(x2,y2))
         self.tiles = []  # (tile index, direction)
-        self.vertices = None  # canonical endpoints, set later
+        self.vertices = None  # its two endpoints in `MatchingGraph.vertices`, set later
 
     def __repr__(self):
         return f"_Edge({self.index}, {self.label}, tiles={self.tiles})"
@@ -253,8 +254,8 @@ class MatchingGraph:
 
     @functools.cached_property
     def grid(self):
-        """Drawing coordinates of each tile's SW corner: a tile sits one step
-        east or north of the previous one, by the side that one left."""
+        """Drawing coordinates of each tile's SW corner, read only by the debug
+        dump: a tile sits one step east or north of the previous one."""
         x = y = 0
         grid = []
         for t in self.tiles:
@@ -265,79 +266,78 @@ class MatchingGraph:
                 y += 1
         return grid
 
-    def _corner(self, j, name):
-        ox, oy = _CORNER_OFFSETS[name]
-        x, y = self.grid[j]
-        return (x + ox, y + oy)
-
     def _build(self):
-        """Edges (sides identified across glue segments and the band wrap),
-        vertices and flip masks, and the invariants the oracles rely on."""
-        glued = {}  # first-tile corner -> last-tile corner it is glued to
-        seg_edge = {}  # raw segment -> edge, in tile order
-        edges = []
+        """Edges, vertices and flip masks read off the layout, and the
+        invariants the oracles rely on.  Tile j's incoming side is tile j-1's
+        outgoing edge, corner i on corner i; a band's first-tile wrap side is
+        its last tile's outgoing edge, glued at the corners on the diagonals.
+        Edges are numbered in tile and side order, vertices as their corners
+        are first met."""
+        tiles = self.tiles
+        first_dir, last_dir = self.wrap or (None, None)
+        edges, tile_edges = [], []
+        at = []  # at[j][corner]: the (tile, corner) it was first met as, before the wrap
+        for j, t in enumerate(tiles):
+            te, corners = {}, {c: (j, c) for c in _CORNERS}
+            if j:
+                out = tiles[j - 1].exit
+                corners.update(zip(_EDGE_CORNERS[t.entry], [at[-1][c] for c in _EDGE_CORNERS[out]]))
+            for dr, label in t.labels:
+                if j and dr == t.entry:
+                    e = tile_edges[-1][out]
+                elif not j and dr == first_dir:
+                    continue  # the wrap, glued below
+                else:
+                    e = _Edge(len(edges), label)
+                    edges.append(e)
+                e.tiles.append((j, dr))
+                te[dr] = e
+            tile_edges.append(te)
+            at.append(corners)
 
-        def add_segment(tile_idx, direction, label):
-            c1, c2 = _EDGE_CORNERS[direction]
-            p1, p2 = self._corner(tile_idx, c1), self._corner(tile_idx, c2)
-            seg = (min(p1, p2), max(p1, p2))
-            e = seg_edge.get(seg)
-            if e is None:
-                e = seg_edge[seg] = _Edge(len(edges), label)
-                e.segments.append(seg)
-                edges.append(e)
-            e.tiles.append((tile_idx, direction))
-            return e
+        def ends(j, dr):
+            return [at[j][c] for c in _EDGE_CORNERS[dr]]
 
-        tile_edges = [
-            {dr: add_segment(jj, dr, label) for dr, label in tile.labels}
-            for jj, tile in enumerate(self.tiles)
-        ]
         # before a band is glued, each boundary corner meets two sides of one tile only
-        degree = Counter(p for e in edges if len(e.tiles) == 1 for p in e.segments[0])
+        boundary = [e.tiles[0] for e in edges if len(e.tiles) == 1]
+        if self.wrap is not None:
+            boundary.append((0, first_dir))
+        degree = Counter(p for j, dr in boundary for p in ends(j, dr))
         if any(k != 2 for k in degree.values()):
             raise SnakeError("boundary of the graph is not a single cycle")
 
+        glued = {}  # first-tile corner -> last-tile corner it is glued to
         if self.wrap is not None:
-            # Tiles step only north or east, so the last tile's N/E side is
-            # never the first tile's S/W side: the wrap always joins two edges.
-            first_dir, last_dir = self.wrap
-            e_first = tile_edges[0][first_dir]
-            e_last = tile_edges[-1][last_dir]
-
-            # match the corners touching the tiles' diagonals
+            # Tiles step only north or east, so the wrap always joins two
+            # edges; it matches the corners touching the tiles' diagonals.
             def split(j, direction):
                 a, b = _EDGE_CORNERS[direction]
-                if a not in self.tiles[j].diag_corners:
-                    a, b = b, a
-                return self._corner(j, a), self._corner(j, b)
+                return (a, b) if a in tiles[j].diag_corners else (b, a)
 
-            glued = dict(zip(split(0, first_dir), split(-1, last_dir)))
-            e_last.segments.extend(e_first.segments)
-            e_last.tiles.extend(e_first.tiles)
-            edges.pop(e_first.index)
-            for i, e in enumerate(edges):
-                e.index = i
-            tile_edges[0][first_dir] = e_last
+            glued = {at[0][a]: at[-1][b] for a, b in zip(split(0, first_dir), split(-1, last_dir))}
+            e = tile_edges[-1][last_dir]
+            e.tiles.append((0, first_dir))
+            tile_edges[0][first_dir] = e
 
+        vertex_index = {}
         for e in edges:
-            vs = {glued.get(p, p) for seg in e.segments for p in seg}
-            if len(vs) != 2:
-                raise SnakeError("degenerate edge after band identification")
+            vs = [glued.get(p, p) for p in ends(*e.tiles[0])]  # a wrap W copy is glued onto its E copy
             e.vertices = frozenset(vs)
-        vertices = sorted({v for e in edges for v in e.vertices})
-        if len(vertices) % 2:
+            if len(e.vertices) != 2:
+                raise SnakeError("degenerate edge after band identification")
+            for p in vs:
+                vertex_index.setdefault(p, len(vertex_index))
+        if len(vertex_index) % 2:
             raise SnakeError("odd vertex count; no perfect matchings exist")
         tile_edges = [{dr: e.index for dr, e in te.items()} for te in tile_edges]
         if any(len(set(te.values())) != 4 for te in tile_edges):
             raise SnakeError("tile with identified sides is unsupported")
 
         # flip masks and flip orientation per tile, set once every check passed
-        vertex_index = {v: i for i, v in enumerate(vertices)}
         self.__dict__.update(
             edges=edges,
             tile_edges=tile_edges,
-            vertices=vertices,
+            vertices=list(vertex_index),
             hor_mask=[(1 << te["S"]) | (1 << te["N"]) for te in tile_edges],
             ver_mask=[(1 << te["E"]) | (1 << te["W"]) for te in tile_edges],
             up_from_hor=[not t.hor_is_a for t in self.tiles],
@@ -524,23 +524,19 @@ def trim_to_band(S):
 def all_matchings_bruteforce(G):
     """Independent oracle: every perfect matching, by exhaustive recursion
     over vertices (no flip structure involved)."""
-    n_v = len(G.vertices)
-    incident = [[] for _ in range(n_v)]
-    vidx = {v: i for i, v in enumerate(G.vertices)}
-    for e in G.edges:
-        a, b = tuple(e.vertices)
-        incident[vidx[a]].append((e.index, vidx[b]))
-        incident[vidx[b]].append((e.index, vidx[a]))
+    full = (1 << len(G.vertices)) - 1
+    incident = [[(i, vm) for i, vm in enumerate(G._edge_vmask) if vm >> v & 1]
+                for v in range(len(G.vertices))]
     results = []
 
     def rec(covered, mask):
-        if covered == (1 << n_v) - 1:
+        if covered == full:
             results.append(mask)
             return
-        v = next(i for i in range(n_v) if not covered >> i & 1)
-        for ei, u in incident[v]:
-            if not covered >> u & 1:
-                rec(covered | (1 << v) | (1 << u), mask | (1 << ei))
+        v = (~covered & (covered + 1)).bit_length() - 1  # the first uncovered vertex
+        for i, vm in incident[v]:
+            if not covered & vm:
+                rec(covered | vm, mask | 1 << i)
 
     rec(0, 0)
     return sorted(results)

@@ -463,11 +463,11 @@ class Triangulation:
 
     @classmethod
     def from_json_dict(cls, data):
+        counts = {k: data[k] for k in ("genus", "n_arcs", "n_boundary", "n_marked")}
+        for k, v in counts.items():
+            _check_ints((v,), k)
         return cls(
-            genus=int(data["genus"]),
-            n_arcs=int(data["n_arcs"]),
-            n_boundary=int(data["n_boundary"]),
-            n_marked=int(data["n_marked"]),
+            **counts,
             triangles=tuple(tuple(SideRef.parse(s) for s in tri) for tri in data["triangles"]),
         )
 

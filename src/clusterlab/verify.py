@@ -119,6 +119,9 @@ GENUS2_ARCS = {
     "W3": (10, 4, 6, 3),
 }
 
+# the genus-2 coefficient monomial Y of the V-identity, as (i, exponent of y_i)
+GENUS2_Y = ((1, 1), (2, 1), (3, 1), (4, 1), (5, 2), (6, 1), (7, 1), (9, 1))
+
 GENUS2_MUTATION_SEQUENCES = {"V1": (8, 9, 10, 2, 1, 9, 4, 6, 3), "V2": (7, 6, 5, 1, 2, 6, 3, 9, 4)}
 
 ANNULUS_LOOP = (1, 2)
@@ -226,7 +229,7 @@ def check_genus2():
     def body():
         T, p = _fixture_polys(2)
         n = T.n_arcs
-        Y = _y(n, (1, 1), (2, 1), (3, 1), (4, 1), (5, 2), (6, 1), (7, 1), (9, 1))
+        Y = _y(n, *GENUS2_Y)
         rhs_v = p["L"] + _y(n, (7, 1)) * (
             (_y(n, (8, 1)) * p["X1"] + _x(7, n)) * (p["X2"] + Y * _x(8, n))
         )
@@ -291,10 +294,7 @@ def check_genusg(g=3):
         if coeff != 1 or any(e != 0 for e in key[:n]) or any(e < 0 for e in key[n:]):
             raise _IdentityFailure(f"derived Y is not a y-monomial: {Y.serialize()}")
         if g == 2:
-            expected = _y(
-                n, (1, 1), (2, 1), (3, 1), (4, 1), (5, 2), (6, 1), (7, 1), (9, 1)
-            )
-            _assert_zero(Y - expected, "genus-2 consistency of derived Y")
+            _assert_zero(Y - _y(n, *GENUS2_Y), "genus-2 consistency of derived Y")
         return f"V-identity exact with Y = {Y.serialize()}"
 
     return _run(f"genus{g}", body)

@@ -177,8 +177,13 @@ def test_serialize_roundtrip_text():
     for _ in range(25):
         p = random_poly(rng)
         assert LP.parse(p.serialize(), p.nx, p.ny) == p
+    xinv = LP.monomial(2, 2, 1, (0, -1))
+    big = (LP.one(2) + x(1) + xinv + y(1) + 2 * y(2)) ** 8
+    assert len(big.terms) == 495 and LP.parse(big.serialize(), 2) == big
     assert LP.zero(2).serialize() == "0"
     assert LP.parse("0", 2) == LP.zero(2)
+    assert LP.parse("x1 - x1", 2) == LP.zero(2)
+    assert LP.parse("x1*y2 + 3 - x1*y2 - 2*x2^-1 - 1", 2) == 2 * (LP.one(2) - xinv)
 
 
 def test_serialize_canonical_form():

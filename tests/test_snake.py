@@ -9,6 +9,7 @@ from clusterlab.algebra import LaurentPolynomial as LP
 from clusterlab.algebra import chebyshev, term_codec
 from clusterlab.mutation import initial_seed, mutate
 from clusterlab.snake import (
+    _EDGE_CORNERS,
     MatchingGraph,
     SnakeError,
     all_matchings_bruteforce,
@@ -568,6 +569,7 @@ def test_build_errors_are_raised_at_build():
     for G in graphs:
         if G is not None:
             G.minimal_mask()  # builds the graph tables
+            assert _vertices_are_grid_points(G), G.crossings
             assert (expand if G.wrap is None else expand_band)(G, "trivial").terms
 
 
@@ -637,6 +639,44 @@ def test_triangulations_never_share_table_entries():
     assert dataclasses.replace(S2.tiles[0]).steps == [None] * 4
 
 
+_OFFSETS = {"SW": (0, 0), "SE": (1, 0), "NE": (1, 1), "NW": (0, 1)}
+
+
+def _point(G, j, corner):
+    x, y = G.grid[j]
+    dx, dy = _OFFSETS[corner]
+    return x + dx, y + dy
+
+
+def _segment(G, j, side):
+    """Side `side` of tile j as its two grid points, in sorted order."""
+    return tuple(sorted(_point(G, j, c) for c in _EDGE_CORNERS[side]))
+
+
+def _vertices_are_grid_points(G):
+    """Whether two sides share a `_build` vertex exactly when their grid
+    segments share a point, a band's wrap copies glued at the corners on the
+    diagonals: the sets of sides through each vertex are the sets of sides
+    through each point."""
+    glue = {}
+    if G.wrap is not None:
+
+        def split(j, side):  # the corner on the diagonal first
+            return sorted(_EDGE_CORNERS[side], key=lambda c: c not in G.tiles[j].diag_corners)
+
+        first, last = G.wrap
+        glue = {_point(G, 0, a): _point(G, -1, b) for a, b in zip(split(0, first), split(-1, last))}
+    at_point, at_vertex = {}, {}
+    for j, te in enumerate(G.tile_edges):
+        for side, i in te.items():
+            for c in _EDGE_CORNERS[side]:
+                p = _point(G, j, c)
+                at_point.setdefault(glue.get(p, p), set()).add((j, side))
+            for v in G.edges[i].vertices:
+                at_vertex.setdefault(v, set()).add((j, side))
+    return Counter(map(frozenset, at_point.values())) == Counter(map(frozenset, at_vertex.values()))
+
+
 def _descended_minimal(G):
     """The oracle for `minimal_mask`: the alternating matching of the boundary
     cycle through the first tile's incoming side (S of a snake, W of a band),
@@ -645,13 +685,14 @@ def _descended_minimal(G):
     # boundary segments before gluing: sides of one tile, and both wrap copies
     incident = {}
     for e in G.edges:
-        if len(e.tiles) == 1 or len(e.segments) == 2:
-            for seg in e.segments:
+        segments = {_segment(G, j, side) for j, side in e.tiles}
+        if len(e.tiles) == 1 or len(segments) == 2:
+            for seg in segments:
                 for p in seg:
                     incident.setdefault(p, []).append((e.index, seg))
     assert all(len(es) == 2 for es in incident.values())
-    first = G.edges[G.tile_edges[0]["S" if G.wrap is None else "W"]]
-    start = (first.index, first.segments[-1])  # a wrap edge lists the W copy last
+    first = "S" if G.wrap is None else "W"
+    start = (G.tile_edges[0][first], _segment(G, 0, first))
     cycle, v = [start], start[1][0]
     while (side := next(f for f in incident[v] if f != cycle[-1])) != start:
         cycle.append(side)

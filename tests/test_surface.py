@@ -178,6 +178,10 @@ def test_annulus_fixture_validates():
 def test_json_roundtrip():
     for T in (builtin_genus1(), builtin_genus2(), annulus_fixture()):
         assert Triangulation.from_json(T.to_json()) == T
+    data = builtin_genus1().to_json_dict()
+    for key, value in (("genus", 1.9), ("n_arcs", 4.7), ("n_boundary", True), ("n_marked", "1")):
+        with pytest.raises(SurfaceError, match=f"{key} must be an int, not {value!r}"):
+            Triangulation.from_json_dict({**data, key: value})
 
 
 def test_json_format_shape():

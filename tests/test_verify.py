@@ -283,6 +283,7 @@ def test_typed_errors_share_one_base_class():
         ("expand --surface genus1 --arc 1 --start-triangle 9", "start triangle 9 out of range"),
         ("expand --surface not-json.txt --arc 1", "malformed surface file 'not-json.txt'"),
         ("mutate --surface invalid.json --seq 1", "invalid surface 'invalid.json': arc index A7"),
+        ("expand --surface counts.json --arc 1,3", "genus must be an int, not 1.9"),
         ("expand --surface genus1 --arc 1 --loop", "band graphs need at least two tiles"),
         ("expand --surface genus1 --arc 1,4,3 --loop", "does not close up (odd turn parity)"),
         (
@@ -299,6 +300,8 @@ def test_cli_bad_input_is_one_line_and_exit_2(argv, message, tmp_path, monkeypat
     bad = json.loads(builtin_genus1().to_json())
     bad["triangles"][0][2] = "A7"
     (tmp_path / "invalid.json").write_text(json.dumps(bad))
+    counts = {**builtin_genus1().to_json_dict(), "genus": 1.9, "n_arcs": 4.7}
+    (tmp_path / "counts.json").write_text(json.dumps(counts))
     assert cli_main(argv.split()) == 2
     out, err = capsys.readouterr()
     assert out == ""
