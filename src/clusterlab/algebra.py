@@ -29,6 +29,7 @@ polynomial, so instances are safe to share between threads.
 from __future__ import annotations
 
 import json
+import re
 import struct
 from dataclasses import dataclass
 
@@ -37,12 +38,20 @@ from .errors import ClusterlabError
 # Recorded with benchmark runs; there is one arithmetic path, in pure Python.
 KERNEL_BACKEND = "python"
 
+_DIGITS = re.compile("[0-9]+")
+_FACTOR = re.compile(r"([xy])(-?[0-9]+)(?:\^(-?[0-9]+))?")  # parse: x3, y2^4, x1^-2
+
 _BIAS = 1 << 31
 EXPONENT_LIMIT = _BIAS - 1
 
 
 class RankMismatch(ClusterlabError):
     """Raised when combining polynomials over different variable ranks."""
+
+
+class ParseError(ClusterlabError):
+    """Raised by `LaurentPolynomial.parse` on text outside the serialize()
+    grammar."""
 
 
 class ExponentOverflow(ClusterlabError):
@@ -164,14 +173,13 @@ def _new(nx, ny, terms, bound):
     p.ny = ny
     p.terms = terms
     p._bound = bound
-    p._hash = None
     return p
 
 
 class LaurentPolynomial:
     """A sparse integer Laurent polynomial in x-variables and y-variables."""
 
-    __slots__ = ("nx", "ny", "terms", "_bound", "_hash")
+    __slots__ = ("nx", "ny", "terms", "_bound")
 
     def __init__(self, nx, ny, terms):
         """`terms` maps exponent tuples of length nx + ny to coefficients."""
@@ -189,7 +197,6 @@ class LaurentPolynomial:
         self.ny = ny
         self.terms = packed
         self._bound = bound
-        self._hash = None
 
     # -- constructors -----------------------------------------------------
 
@@ -341,11 +348,7 @@ class LaurentPolynomial:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(
-                (self.nx, self.ny, tuple(sorted(self.terms.items())))
-            )
-        return self._hash
+        return hash((self.nx, self.ny, tuple(sorted(self.terms.items()))))
 
     # -- exact division ----------------------------------------------------
 
@@ -543,36 +546,35 @@ class LaurentPolynomial:
 
     @classmethod
     def parse(cls, text, nx, ny=None):
-        """Parse the canonical text form produced by serialize()."""
+        """Parse the text form produced by serialize(): terms joined by
+        " + " or " - ", the first optionally signed "-", each an optional
+        coefficient and then factors x<i> or y<i>, each with an optional
+        ^<exponent>, all joined by "*".  The terms need not be canonical,
+        ordered or combined.  Malformed text raises ParseError, and a
+        variable index outside 1..nx or 1..ny raises RankMismatch."""
         ny = nx if ny is None else ny
-        text = text.strip()
-        # normalize "a - b + c" into signed chunks
-        chunks = text.replace("- ", "-").replace("+ ", "+").split()
+        tokens = text.split()
+        signs, bodies = ["+"] + tokens[1::2], tokens[::2]
+        if len(tokens) % 2 == 0 or set(signs) - {"+", "-"}:
+            raise ParseError(f"cannot parse {text!r}: terms must be joined by ' + ' or ' - '")
+        if bodies[0].startswith("-"):
+            signs[0], bodies[0] = "-", bodies[0][1:]
         terms = {}
-        for chunk in chunks:
-            sign = 1
-            if chunk.startswith("-"):
-                sign, chunk = -1, chunk[1:]
-            elif chunk.startswith("+"):
-                chunk = chunk[1:]
-            coeff = sign
+        for sign, body in zip(signs, bodies):
+            coeff = -1 if sign == "-" else 1
+            factors = body.split("*")
+            if _DIGITS.fullmatch(factors[0]):
+                coeff *= int(factors.pop(0))
             xe, ye = [0] * nx, [0] * ny
-            for factor in chunk.split("*"):
-                if factor.isdigit():
-                    coeff *= int(factor)
-                    continue
-                sym, rest = factor[0], factor[1:]
-                if "^" in rest:
-                    idx, exp = rest.split("^")
-                else:
-                    idx, exp = rest, "1"
-                if sym not in ("x", "y"):
-                    raise ValueError(f"bad factor {factor!r}")
+            for factor in factors:
+                m = _FACTOR.fullmatch(factor)
+                if m is None:
+                    raise ParseError(f"bad factor {factor!r} in {text!r}")
+                sym, i, exp = m.groups()
                 exps = xe if sym == "x" else ye
-                i = int(idx)
-                if not 1 <= i <= len(exps):
+                if not 1 <= int(i) <= len(exps):
                     raise RankMismatch(f"variable {factor!r} out of range 1..{len(exps)}")
-                exps[i - 1] += int(exp)
+                exps[int(i) - 1] += int(exp or 1)
             key = tuple(xe + ye)
             terms[key] = terms.get(key, 0) + coeff
         return cls(nx, ny, terms)
@@ -706,6 +708,7 @@ __all__ = [
     "TropicalMonomial",
     "SemifieldSpec",
     "RankMismatch",
+    "ParseError",
     "NotDivisible",
     "ExponentOverflow",
     "EXPONENT_LIMIT",

@@ -222,7 +222,7 @@ def mutate_seq(seed, ks):
     return seed
 
 
-class NotFound(Exception):
+class NotFound(MutationError):
     """No mutation sequence reaching the target within the depth bound."""
 
 

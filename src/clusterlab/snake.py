@@ -145,10 +145,6 @@ class Tile:
     steps: list = field(init=False, compare=False, repr=False,
                         default_factory=lambda: [None] * 4)
 
-    @property
-    def edge_labels(self):
-        return dict(self.labels)
-
 
 class _Edge:
     __slots__ = ("index", "label", "tiles", "vertices")
@@ -441,7 +437,7 @@ class MatchingGraph:
             out["wrap"] = {
                 "first_tile_edge": first_dir,
                 "last_tile_edge": last_dir,
-                "label": str(self.tiles[0].edge_labels[first_dir]),
+                "label": str(self.tiles[0].labels[_SLOT[first_dir]][1]),
             }
         out["tiles"] = [
             {

@@ -153,73 +153,65 @@ class Triangulation:
                     slots.setdefault(s.index, []).append((t, i))
         return {a: tuple(v) for a, v in slots.items()}
 
-    def corner_orbits(self):
-        """Union-find over triangle corners under the arc gluings.
+    @functools.cached_property
+    def _fans(self):
+        """The corners around each marked point, in fan order, walked once.
 
         Corner (t, k) sits between side k-1 (ending there) and side k
-        (starting there); gluing an arc's two slots reverses direction, so
-        start of one copy meets end of the other.
+        (starting there).  Gluing an arc's two slots reverses direction, so
+        the end of side k-1 meets the start of the other slot's side: the
+        fan steps from (t, k) across the arc on side k-1 to the corner where
+        that slot starts.  A fan starts at every corner whose side k is not
+        an arc with two slots and ends at a corner whose side k-1 is not;
+        the corners left over form closed fans, each walked from its first
+        corner.  Every corner has at most one successor and one predecessor,
+        so the walk ends on any list of sides, one not of 3 sides included.
         """
-        parent = {}
+        tris, slots = self.triangles, self._slot_table
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+        def glued(side):
+            return side.is_arc and len(slots[side.index]) == 2
 
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
+        corners = [(t, k) for t, tri in enumerate(tris) for k in range(len(tri))]
+        fans, seen = [], set()
+        for c in [(t, k) for t, k in corners if not glued(tris[t][k])] + corners:
+            fan = []
+            while c not in seen:
+                seen.add(c)
+                fan.append(c)
+                t, k = c
+                side = tris[t][k - 1]
+                if not glued(side):
+                    break
+                s1, s2 = slots[side.index]
+                c = s2 if s1 == (t, (k - 1) % len(tris[t])) else s1
+            if fan:
+                fans.append(tuple(fan))
+        return tuple(fans)
 
-        for t, tri in enumerate(self.triangles):
-            for k in range(3):
-                parent[(t, k)] = (t, k)
-        for slots in self._slot_table.values():
-            if len(slots) != 2:
-                continue
-            (t, i), (u, j) = slots
-            union((t, i), (u, (j + 1) % 3))
-            union((t, (i + 1) % 3), (u, j))
-        orbits = {}
-        for c in parent:
-            orbits.setdefault(find(c), []).append(c)
-        return list(orbits.values())
+    def corner_orbits(self):
+        """The corners of each marked point (see `_fans`)."""
+        return [list(fan) for fan in self._fans]
 
     def boundary_components(self):
-        """Group boundary segments into boundary circles."""
-        orbit_of = {}
-        for orbit in self.corner_orbits():
-            for c in orbit:
-                orbit_of[c] = id(orbit)
-
-        segs = {}
-        for t, tri in enumerate(self.triangles):
-            for i, s in enumerate(tri):
-                if not s.is_arc:
-                    segs[s.index] = (t, i)
-        start_at = {}
-        for b, (t, i) in segs.items():
-            start_at.setdefault(orbit_of[(t, i)], []).append(b)
-
-        components = []
-        seen = set()
-        for b in sorted(segs):
-            if b in seen:
-                continue
+        """Group boundary segments into boundary circles: a fan that starts
+        where segment b starts and ends where segment a ends puts b after a."""
+        tris = self.triangles
+        after = {}
+        for fan in self._fans:
+            (t, k), (u, j) = fan[0], fan[-1]
+            first, last = tris[t][k], tris[u][j - 1]
+            if not first.is_arc and not last.is_arc:
+                after[last.index] = first.index
+        components, seen = [], set()
+        for b in sorted({s.index for tri in tris for s in tri if not s.is_arc}):
             comp = []
-            cur = b
-            while cur not in seen:
-                seen.add(cur)
-                comp.append(cur)
-                t, i = segs[cur]
-                end_orbit = orbit_of[(t, (i + 1) % 3)]
-                nxts = [x for x in start_at.get(end_orbit, []) if x not in seen]
-                if not nxts:
-                    break
-                cur = nxts[0]
-            components.append(comp)
+            while b is not None and b not in seen:
+                seen.add(b)
+                comp.append(b)
+                b = after.get(b)
+            if comp:
+                components.append(comp)
         return components
 
     # -- validation ---------------------------------------------------------
@@ -255,11 +247,9 @@ class Triangulation:
         if problems:
             return problems
 
-        orbits = self.corner_orbits()
-        if len(orbits) != self.n_marked:
-            problems.append(
-                f"{len(orbits)} marked points found, declared {self.n_marked}"
-            )
+        marked = len(self._fans)
+        if marked != self.n_marked:
+            problems.append(f"{marked} marked points found, declared {self.n_marked}")
         ncomp = len(self.boundary_components())
         expected = 6 * self.genus - 6 + 3 * ncomp + self.n_marked
         if self.n_arcs != expected:
@@ -422,30 +412,18 @@ class Triangulation:
         """Crossing sequence of the essential loop isotopic to the boundary.
 
         Rotating around the single marked point, the loop crosses every
-        arc end once, in the fan order determined by the gluings; the walk
-        starts at the corner where the boundary segment begins and stops at
-        the corner where it ends.
+        arc end once: the arc on side k-1 of each corner (t, k) of the fan
+        that starts where the boundary segment begins (see `_fans`), up to
+        the corner where the segment ends.
         """
         if self.n_marked != 1 or self.n_boundary != 1:
             raise SurfaceError("boundary_loop requires exactly one marked point")
-        slots = self._slot_table
-        t, k = next(
-            (t, i)
-            for t, tri in enumerate(self.triangles)
-            for i, s in enumerate(tri)
-            if not s.is_arc and s.index == 1
-        )
-        crossed = []
-        while True:
-            side = self.triangles[t][(k - 1) % 3]
-            if not side.is_arc:
-                break
-            crossed.append(side.index)
-            s1, s2 = slots[side.index]
-            t, k = s2 if (s1 == (t, (k - 1) % 3)) else s1
-        if len(crossed) != 2 * self.n_arcs:
+        tris = self.triangles
+        fan = next((f for f in self._fans if tris[f[0][0]][f[0][1]] == boundary(1)), ())
+        sides = [tris[t][k - 1] for t, k in fan]  # the last is where the fan stops
+        if len(sides) != 2 * self.n_arcs + 1 or sides[-1].is_arc:
             raise SurfaceError("boundary loop walk did not visit every arc end")
-        return LoopCrossing(tuple(crossed))
+        return LoopCrossing(tuple(s.index for s in sides[:-1]))
 
     # -- serialization -----------------------------------------------------------
 
@@ -479,8 +457,9 @@ class Triangulation:
 # -- builtin surfaces ---------------------------------------------------------
 
 
-def _genus_triangle_sets(g):
-    """Triangle side sets for the one-marked-point genus-g surface.
+def builtin_genus(g):
+    """Triangulation of the genus-g surface with one boundary component and
+    one marked point (6g-2 arcs, 4g-1 triangles).
 
     Arcs 1, 2 form the core pair; two ladders of triangles climb from the
     core to the boundary triangle, sharing rung arcs in opposite order:
@@ -488,54 +467,27 @@ def _genus_triangle_sets(g):
       arcs:  d_i = 2 + i           (i = 1..2g-2)
              a_i = 2g + i          (i = 1..2g-1)
              b_i = (6g-1) - i      (i = 1..2g-1)
-      triangles: {1,2,a_1}, {1,2,b_1},
-                 {d_i, a_i, a_{i+1}},             i = 1..2g-2
-                 {d_{2g-1-i}, b_i, b_{i+1}},      i = 1..2g-2
-                 {B, b_{2g-1}, a_{2g-1}}
+      triangles: (1, 2, a_1), (1, 2, b_1),
+                 (a_{i+1}, a_i, d_i),             i = 1..2g-2
+                 (d_{2g-1-i}, b_i, b_{i+1}),      i = 1..2g-2
+                 (a_{2g-1}, b_{2g-1}, B)
 
-    For g = 1 this degenerates to {1,2,3}, {1,2,4}, {B,4,3}; for g = 2 it
-    reproduces the triangulation forced by the crossing sequences in the
-    genus-2 identity checks.
+    each listed counterclockwise.  For g = 1 this degenerates to (1, 2, 3),
+    (1, 2, 4), (3, 4, B); for g = 2 it reproduces the triangulation forced
+    by the crossing sequences in the genus-2 identity checks.  The
+    orientation was validated against the Laurent-polynomial identities for
+    g = 1, 2 and the derived coefficient monomial for higher genus.
     """
     if g < 1:
         raise SurfaceError("genus must be >= 1")
-    d = [2 + i for i in range(1, 2 * g - 1)]
-    a = [2 * g + i for i in range(1, 2 * g)]
-    b = [(6 * g - 1) - i for i in range(1, 2 * g)]
-    tris = [[arc(1), arc(2), arc(a[0])], [arc(1), arc(2), arc(b[0])]]
-    for i in range(2 * g - 2):
-        tris.append([arc(d[i]), arc(a[i]), arc(a[i + 1])])
-    for i in range(2 * g - 2):
-        tris.append([arc(d[2 * g - 3 - i]), arc(b[i]), arc(b[i + 1])])
-    tris.append([boundary(1), arc(b[-1]), arc(a[-1])])
-    return tris
-
-
-def _orientation_mask(g):
-    """Orientation pattern validated against the Laurent-polynomial
-    identities for g = 1, 2 and the derived coefficient monomial for higher
-    genus: the first ladder's triangles and the boundary triangle are
-    reversed relative to _genus_triangle_sets, the rest kept (bit i reverses
-    triangle i)."""
-    mask = 1 << (4 * g - 2)
-    for i in range(2, 2 * g):
-        mask |= 1 << i
-    return mask
-
-
-def builtin_genus(g):
-    """Triangulation of the genus-g surface with one boundary component and
-    one marked point (6g-2 arcs, 4g-1 triangles)."""
-    tri_sets = _genus_triangle_sets(g)
-    n_arcs = 6 * g - 2
-    mask = _orientation_mask(g)
-    tris = tuple(
-        tuple(reversed(t)) if (mask >> i) & 1 else tuple(t)
-        for i, t in enumerate(tri_sets)
-    )
-    T = Triangulation(
-        genus=g, n_arcs=n_arcs, n_boundary=1, n_marked=1, triangles=tris
-    )
+    d = [arc(2 + i) for i in range(1, 2 * g - 1)]
+    a = [arc(2 * g + i) for i in range(1, 2 * g)]
+    b = [arc((6 * g - 1) - i) for i in range(1, 2 * g)]
+    tris = [(arc(1), arc(2), a[0]), (arc(1), arc(2), b[0])]
+    tris += [(a[i + 1], a[i], d[i]) for i in range(2 * g - 2)]
+    tris += [(d[2 * g - 3 - i], b[i], b[i + 1]) for i in range(2 * g - 2)]
+    tris.append((a[-1], b[-1], boundary(1)))
+    T = Triangulation(genus=g, n_arcs=6 * g - 2, n_boundary=1, n_marked=1, triangles=tuple(tris))
     problems = T.validate()
     if problems:
         raise SurfaceError(f"builtin genus-{g} triangulation invalid: {problems}")

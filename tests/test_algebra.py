@@ -7,6 +7,7 @@ from clusterlab.algebra import (
     ExponentOverflow,
     LaurentPolynomial as LP,
     NotDivisible,
+    ParseError,
     RankMismatch,
     SemifieldSpec,
     TropicalMonomial,
@@ -184,6 +185,11 @@ def test_serialize_roundtrip_text():
     assert LP.parse("0", 2) == LP.zero(2)
     assert LP.parse("x1 - x1", 2) == LP.zero(2)
     assert LP.parse("x1*y2 + 3 - x1*y2 - 2*x2^-1 - 1", 2) == 2 * (LP.one(2) - xinv)
+    # text outside the serialize() grammar is a typed error, never a bare
+    # IndexError, and never read as a sum ("x1 x2") or a total ("3 4")
+    for bad in ("x1**2", "x1 +", "x1*", "+", "x1^2^3", "x1 x2", "3 4", "", "- x1", "z1"):
+        with pytest.raises(ParseError):
+            LP.parse(bad, 2)
 
 
 def test_serialize_canonical_form():

@@ -323,7 +323,7 @@ def test_single_crossing_formula():
     T = builtin_genus1()
     for k in (1, 2, 3, 4):
         S = build_snake(T, ArcCrossing((k,)))
-        labels = S.tiles[0].edge_labels
+        labels = dict(S.tiles[0].labels)
         xw = {d: (LP.x_var(s.index, 4) if s.is_arc else LP.one(4)) for d, s in labels.items()}
         te = S.tile_edges[0]
         m0 = S.minimal_mask()

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from clusterlab.mutation import matrix_rank
@@ -195,10 +198,94 @@ def test_boundary_loop_requires_one_marked_point():
         annulus_fixture().boundary_loop()
 
 
+def test_fan_walk_of_malformed_triangles_ends():
+    # The walk crosses only arcs with two slots, and each corner has one
+    # successor at most, so it ends on any side lists: an arc in three
+    # slots, no B1 at all, a 2-gon.  The boundary loop is then an error.
+    for tris in (((arc(1), arc(2), boundary(1)), (arc(1), arc(2), arc(2))),
+                 ((arc(1), arc(2), arc(3)),),
+                 ((arc(1), arc(2)), (arc(1), arc(2), boundary(1)))):
+        T = Triangulation(genus=1, n_arcs=3, n_boundary=1, n_marked=1, triangles=tris)
+        T.corner_orbits(), T.boundary_components()
+        with pytest.raises(SurfaceError, match="^boundary loop walk did not visit every arc end$"):
+            T.boundary_loop()
+    # a 4-gon and a triangle glued along three arcs: one fan of 7 corners
+    quad = Triangulation(genus=0, n_arcs=3, n_boundary=1, n_marked=1,
+                         triangles=((arc(1), arc(2), arc(3), boundary(1)), (arc(1), arc(2), arc(3))))
+    assert [len(orbit) for orbit in quad.corner_orbits()] == [7]
+    assert quad.boundary_components() == [[1]]
+    assert quad.boundary_loop() == LoopCrossing((1, 3, 2, 1, 3, 2))
+
+
 def test_corner_orbits_single_marked_point():
     for g in (1, 2, 3):
         assert len(builtin_genus(g).corner_orbits()) == 1
     assert len(annulus_fixture().corner_orbits()) == 2
+
+
+def test_validate_wrong_marked_point_count_and_genus():
+    T = builtin_genus1()
+    counts = dict(n_arcs=T.n_arcs, n_boundary=T.n_boundary, triangles=T.triangles)
+    assert Triangulation(genus=1, n_marked=2, **counts).validate() == [
+        "1 marked points found, declared 2",
+        "n_arcs = 4 but genus/boundary data require 5",
+        "boundary segment count must equal marked point count",
+    ]
+    assert Triangulation(genus=2, n_marked=1, **counts).validate() == [
+        "n_arcs = 4 but genus/boundary data require 10",
+    ]
+
+
+TOPOLOGY_SHA256 = "14eae0b97c5751abc27d2571589a02c89bd5853307bbde86c220bf6505fc456d"
+
+
+def _topology_lines():
+    """One line per triangulation of a seeded random family.  Count-valid
+    ones (every arc in two slots, every boundary segment in one, sides
+    shuffled into triangles) record `validate()`, the corner orbit partition
+    and `boundary_components()`; half of them have the counts of a genus-1 or
+    genus-2 surface with one boundary segment and one marked point, and also
+    record `boundary_loop()` or its error.  Arbitrary ones (arcs in one to
+    three slots) record the orbit partition only, and check that `validate()`
+    and `boundary_components()` return."""
+    rng = random.Random(2024)
+    lines = []
+    for i in range(3000):
+        count_valid = i < 2000
+        one_point = count_valid and rng.random() < 0.5
+        n_tri = rng.choice((3, 7)) if one_point else rng.randint(1, 8)
+        if count_valid:
+            n_b = 1 if one_point else rng.choice([b for b in range(6) if (3 * n_tri - b) % 2 == 0])
+            n_a = (3 * n_tri - n_b) // 2
+            sides = [arc(a) for a in range(1, n_a + 1)] * 2
+            sides += [boundary(b) for b in range(1, n_b + 1)]
+            rng.shuffle(sides)
+        else:
+            n_a, n_b = rng.randint(1, 6), rng.randint(1, 3)
+            sides = [arc(rng.randint(1, n_a)) if rng.random() < 0.8
+                     else boundary(rng.randint(1, n_b)) for _ in range(3 * n_tri)]
+        T = Triangulation(genus=(n_tri + 1) // 4 if one_point else rng.randint(0, 2), n_arcs=n_a,
+                          n_boundary=n_b, n_marked=1 if one_point else rng.randint(1, 4),
+                          triangles=tuple(zip(sides[::3], sides[1::3], sides[2::3])))
+        orbits = sorted(sorted(orbit) for orbit in T.corner_orbits())
+        if not count_valid:
+            T.validate(), T.boundary_components()  # neither raises
+            lines.append(f"{T.triangles} {orbits}")
+            continue
+        line = f"{T.to_json_dict()} {T.validate()} {orbits} {T.boundary_components()}"
+        if one_point:
+            try:
+                line += f" {T.boundary_loop()}"
+            except SurfaceError as exc:
+                line += f" {exc}"
+        lines.append(line)
+    return lines
+
+
+def test_topology_of_random_triangulations_is_pinned():
+    lines = _topology_lines()
+    assert len(lines) == 3000
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TOPOLOGY_SHA256
 
 
 def test_exchange_matrix_mirror_equivariance():

@@ -270,6 +270,14 @@ def test_typed_errors_share_one_base_class():
         assert issubclass(cls, ClusterlabError) and issubclass(cls, ValueError)
 
 
+def test_parse_and_search_errors_are_typed():
+    from clusterlab import ClusterlabError
+    from clusterlab.algebra import ParseError
+    from clusterlab.mutation import MutationError, NotFound
+
+    assert issubclass(ParseError, ClusterlabError) and issubclass(NotFound, MutationError)
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

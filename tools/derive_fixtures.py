@@ -11,40 +11,27 @@ prefixes.  The result is unique and frozen in clusterlab.verify; rerun with
 
     python tools/derive_fixtures.py
 
-to confirm: it exits 1 if the result differs from the recorded arcs.  Three
-runs took 14 s, 17 s and 17 s at a peak RSS of 17 to 19 MB on a shared
-two-core machine under Python 3.11.  That machine's speed drifts by up to 2x
-between hours, so compare only runs made back to back.
+to confirm: it exits 1 if the result differs from the recorded arcs.  The
+README's Tools section gives its run time.
 """
 
 import time
 
-from clusterlab.algebra import LaurentPolynomial as LP, NotDivisible
+from clusterlab.algebra import NotDivisible
 from clusterlab.errors import ClusterlabError
-from clusterlab.snake import build_snake, expand, expand_band, trim_to_band
-from clusterlab.surface import ArcCrossing, builtin_genus2
-from clusterlab.verify import GENUS2_ARCS
+from clusterlab.snake import build_snake, expand
+from clusterlab.surface import ArcCrossing
+from clusterlab.verify import GENUS2_ARCS, _fixture_polys, _x, _y
 
 MAX_LEN = 12
 
 
 def main():
-    T = builtin_genus2()
+    T, polys = _fixture_polys(2)
     n = T.n_arcs
-    U1 = expand(build_snake(T, ArcCrossing(GENUS2_ARCS["U1"])))
-    U2 = expand(build_snake(T, ArcCrossing(GENUS2_ARCS["U2"])))
-    X1 = expand_band(trim_to_band(build_snake(T, ArcCrossing(GENUS2_ARCS["V1"]))))
-
-    def y(*pairs):
-        e = [0] * n
-        for i, k in pairs:
-            e[i - 1] += k
-        return LP.y_monomial(n, n, e)
-
-    x = lambda i: LP.x_var(i, n)
-    residual = (U1 * U2 - x(7) - y((8, 1)) * X1).div_exact(y((1, 1)))
-    pre2 = y((8, 1))
-    pre3 = y((5, 1), (6, 1), (7, 1)) * x(1)
+    pre2 = _y(n, (8, 1))
+    residual = (polys["U1"] * polys["U2"] - _x(7, n) - pre2 * polys["X1"]).div_exact(_y(n, (1, 1)))
+    pre3 = _y(n, (5, 1), (6, 1), (7, 1)) * _x(1, n)
 
     def dominated(p, ref):
         return all(ref.terms.get(k, 0) >= c for k, c in p.terms.items())
