@@ -35,27 +35,31 @@ its checks.  The 25,152 tiles of the genus-2 arcs of length at most 8 have
 Matchings.  The expansion is a transfer program with one step per tile that
 reads only the layout: labels, `hor_is_a`, diagonals, glue directions and
 the wrap.  Its state is the covered bits of the corners of the tile's
-outgoing glue side, its value a map {packed term key: coefficient}.  A tile
+outgoing glue side, its value a map {packed term key: coefficient} held
+with a pending key offset that every key is still to be shifted by.  A tile
 is entered on S if the previous tile left N and on W if it left E, and adds
 its non-incoming sides: a table made once per (incoming, outgoing) pair
 lists the side subsets that cover every corner off the outgoing side once,
-and a step shifts keys by the x-field units of a subset's arc labels.  A
-snake's last tile leaves E and covers both of its corners.  A band is cut
-open at its wrap: its first tile is entered on W, its last tile leaves E,
-these two copies of the wrap edge are separate sides, and the good
-matchings are the perfect matchings of the cut graph that take at least one
-copy (Musiker, Schiffler and Williams, arXiv:1110.4364).  A state bit
-records a copy, and one wrap label comes off every term: a good matching
-holds the wrap edge exactly when it takes both copies.  This is the
-snake-graph form of the 2x2 matrix formulae of Musiker and Williams
-(arXiv:1108.3382).  Heights follow a ray rule.  Tiles step only north or
-east, so a ray leaving tile j through f_j, its first side in S, E, N, W
-order that belongs to tile j alone, meets no other tile, and tile j lies
-inside P - P_min, the symmetric difference with the minimal matching,
-exactly when f_j is in exactly one of P and P_min; so every tile height is
-0 or 1.  P_min has a closed form: a side of one tile only lies in it
-exactly when it carries s23 or s41 (E/W when `hor_is_a`, else S/N), and no
-other edge does.
+and a move by a subset adds the x-field units of its arc labels to the
+pending offset without copying the map.  Where two moves reach one state,
+the smaller map is shifted by the difference of the two offsets and added
+into the larger; a map that two states may hold is copied before it is
+written.  The final map is shifted once.  A snake's last tile leaves E and
+covers both of its corners.  A band is cut open at its wrap: its first tile
+is entered on W, its last tile leaves E, these two copies of the wrap edge
+are separate sides, and the good matchings are the perfect matchings of the
+cut graph that take at least one copy (Musiker, Schiffler and Williams,
+arXiv:1110.4364).  A state bit records a copy, and one wrap label comes off
+every term: a good matching holds the wrap edge exactly when it takes both
+copies.  This is the snake-graph form of the 2x2 matrix formulae of
+Musiker and Williams (arXiv:1108.3382).  Heights follow a ray rule.  Tiles
+step only north or east, so a ray leaving tile j through f_j, its first
+side in S, E, N, W order that belongs to tile j alone, meets no other tile,
+and tile j lies inside P - P_min, the symmetric difference with the minimal
+matching, exactly when f_j is in exactly one of P and P_min; so every tile
+height is 0 or 1.  P_min has a closed form: a side of one tile only lies in
+it exactly when it carries s23 or s41 (E/W when `hor_is_a`, else S/N), and
+no other edge does.
 
 Flip enumeration is the oracle.  `enumerate_masks` lists all perfect
 matchings of a snake graph, and the good matchings of a band graph, as the
@@ -81,7 +85,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 
-from .algebra import LaurentPolynomial, _add_into, term_codec
+from .algebra import LaurentPolynomial, term_codec
 from .errors import ClusterlabError
 from .surface import LoopCrossing, SurfaceError, sides_after, turn
 
@@ -576,7 +580,14 @@ def _step(tile, ny, band_last, unit):
 
 def _expansion(G, coeffs):
     """Transfer program over the tiles, a band cut open at its wrap; see
-    "Matchings" in the module docstring.  Each step is kept on its tile."""
+    "Matchings" in the module docstring.  Each step is kept on its tile.
+
+    A state is (pending key offset, term map, shared).  A move adds its key
+    offset to the pending one and passes the map on, so a state with two
+    moves leaves one map to two states; such a map stays marked shared on
+    every later step, since either holder may still be merged into.  A merge
+    adds the smaller map, shifted by the difference of the two offsets, into
+    the larger, which is copied first when it is shared."""
     if coeffs not in ("principal", "trivial"):
         raise SnakeError(f"coeffs must be 'principal' or 'trivial', not {coeffs!r}")
     n = G.n_arcs
@@ -594,23 +605,33 @@ def _expansion(G, coeffs):
     start = codec.zero + sum([step[1] for step in steps])
 
     # the first W copy of a band's wrap is taken (state 7) or not (0)
-    states = {0: {start - steps[0][2]: 1}, 7: {start: 1}} if band else {0: {start: 1}}
+    if band:
+        states = {0: (-steps[0][2], {start: 1}, False), 7: (0, {start: 1}, False)}
+    else:
+        states = {0: (0, {start: 1}, False)}
     for moves, _, _ in steps:
         nxt = {}
-        for s, terms in states.items():
-            for off, t in moves[s & 3]:
+        for s, (base, terms, shared) in states.items():
+            out = moves[s & 3]
+            shared = shared or len(out) > 1  # kept on every later step too
+            for off, t in out:
                 t |= s & 4
-                shifted = {k + off: c for k, c in terms.items()}
-                cur = nxt.get(t)
-                if cur is None:
-                    nxt[t] = shifted
-                elif len(cur) < len(shifted):  # add the smaller map into the larger
-                    nxt[t] = _add_into(shifted, cur)
-                else:
-                    _add_into(cur, shifted)
+                o, m, sh = base + off, terms, shared
+                if t in nxt:
+                    o2, m2, sh2 = nxt[t]
+                    if len(m) < len(m2):  # add the smaller map into the larger
+                        o, m, sh, o2, m2 = o2, m2, sh2, o, m
+                    if sh:  # copy before write
+                        m, sh = dict(m), False
+                    delta, get = o2 - o, m.get
+                    for key, c in m2.items():  # coefficients are positive: no zero sums
+                        key += delta
+                        m[key] = get(key, 0) + c
+                nxt[t] = (o, m, sh)
         states = nxt
     # Every tile height is 0 or 1, and a snake has 3d + 1 edges, a band 3d.
-    terms = states.get(7 if band else 3, {})
+    base, terms, _ = states.get(7 if band else 3, (0, {}, False))
+    terms = {k + base: c for k, c in terms.items()}
     return LaurentPolynomial.from_packed(n, ny, terms, 3 * d + (not band))
 
 

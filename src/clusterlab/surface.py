@@ -226,7 +226,6 @@ class Triangulation:
         for tri in self.triangles:
             if len(tri) != 3:
                 problems.append(f"triangle {tri} does not have 3 sides")
-                continue
             for s in tri:
                 if s.is_arc:
                     if not 1 <= s.index <= self.n_arcs:

@@ -44,6 +44,18 @@ def test_validate_arc_used_three_times():
     assert any("arc 4" in p for p in problems)
 
 
+def test_validate_counts_the_sides_of_a_polygon():
+    # A 4-gon glued to a triangle is reported, and its sides still count as
+    # uses, so no arc or segment is reported as used too rarely.
+    quad = (arc(1), arc(2), arc(3), boundary(1))
+    bad = Triangulation(genus=1, n_arcs=3, n_boundary=1, n_marked=1,
+                        triangles=(quad, (arc(1), arc(2), arc(3))))
+    assert bad.validate() == [
+        f"triangle {quad} does not have 3 sides",
+        "3*(#triangles) != 2*n_arcs + n_boundary",
+    ]
+
+
 def test_validate_empty():
     empty = Triangulation(genus=1, n_arcs=0, n_boundary=0, n_marked=0, triangles=())
     assert empty.validate() == ["triangulation has no triangles"]
