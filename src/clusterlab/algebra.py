@@ -141,10 +141,11 @@ def _mul_terms(a, b, zero):
     return out
 
 
-def _add_into(out, b):
-    """In-place termwise sum: out += b, dropping zeros."""
+def _add_into(out, items):
+    """In-place termwise sum: out += the (key, coeff) pairs of `items`,
+    dropping zeros."""
     get = out.get
-    for k, c in b.items():
+    for k, c in items:
         nc = get(k, 0) + c
         if nc:
             out[k] = nc
@@ -296,7 +297,7 @@ class LaurentPolynomial:
             other = LaurentPolynomial.const(self.nx, self.ny, other)
         self._check_rank(other)
         out = dict(self.terms)
-        _add_into(out, other.terms)
+        _add_into(out, other.terms.items())
         return _new(self.nx, self.ny, out, max(self._bound, other._bound))
 
     __radd__ = __add__
@@ -351,13 +352,6 @@ class LaurentPolynomial:
         return hash((self.nx, self.ny, tuple(sorted(self.terms.items()))))
 
     # -- exact division ----------------------------------------------------
-
-    def _shift(self, offset):
-        """Multiply by the monomial with exponent vector `offset`."""
-        codec = self._codec()
-        bound = _checked(self._bound + max(map(abs, offset), default=0))
-        off = codec.pack(offset) - codec.zero
-        return _new(self.nx, self.ny, {k + off: c for k, c in self.terms.items()}, bound)
 
     def div_exact(self, other):
         """Exact quotient self / other in the integer Laurent ring.
@@ -438,27 +432,13 @@ class LaurentPolynomial:
         low = 32 * self.ny
         ymask = (1 << low) - 1
         xzero = self._codec().zero >> low << low
-        out = {}
-        for k, c in self.terms.items():
-            kk = k & ymask | xzero
-            nc = out.get(kk, 0) + c
-            if nc:
-                out[kk] = nc
-            else:
-                del out[kk]
+        out = _add_into({}, ((k & ymask | xzero, c) for k, c in self.terms.items()))
         return _new(self.nx, self.ny, out, self._bound)
 
     def set_y_one(self):
         """Substitute y_i := 1 for every coefficient variable."""
         low = 32 * self.ny
-        out = {}
-        for k, c in self.terms.items():
-            kk = k >> low
-            nc = out.get(kk, 0) + c
-            if nc:
-                out[kk] = nc
-            else:
-                del out[kk]
+        out = _add_into({}, ((k >> low, c) for k, c in self.terms.items()))
         return _new(self.nx, 0, out, self._bound)
 
     def map_y(self, images, new_ny):
@@ -685,8 +665,7 @@ def specialize(p, spec):
     images, m = spec.images(p.ny)
     denom = tropical_eval(fpol, spec)
     substituted = p.map_y([tuple(im) for im in images], m)
-    shift = (0,) * p.nx + tuple(-e for e in denom.exps)
-    return substituted._shift(shift)
+    return substituted * LaurentPolynomial.y_monomial(p.nx, m, [-e for e in denom.exps])
 
 
 def chebyshev(k, L):

@@ -177,8 +177,7 @@ def mutate(seed, k):
     zero = term_codec(2 * n).zero
     offsets, bounds = [0, 0], [0, 0]  # key offset and exponent bound per side
     factors = ([], [])  # x_i^|b_ik| for the multi-term x_i of each side
-    # the y fields are the low n fields of a key
-    for e, unit in zip(row[n:], term_codec(n).units):
+    for e, unit in zip(row[n:], term_codec(2 * n).units[n:]):
         if e:
             side = e < 0
             if side:
@@ -203,7 +202,7 @@ def mutate(seed, k):
     relation = {}
     for off, side_factors in zip(offsets, factors):
         product = reduce(mul, side_factors).terms if side_factors else {zero: 1}
-        _add_into(relation, {key + off: c for key, c in product.items()})
+        _add_into(relation, {key + off: c for key, c in product.items()}.items())
     rhs = LaurentPolynomial.from_packed(n, n, relation, max(bounds))
     try:
         new_var = rhs.div_exact(cluster[kk])

@@ -430,7 +430,7 @@ class MatchingGraph:
 
     # -- debug dump ---------------------------------------------------------------
 
-    def to_debug_dict(self):
+    def to_debug_json(self):
         out = {
             "kind": "snake" if self.wrap is None else "band",
             "crossings": list(self.crossings),
@@ -453,10 +453,7 @@ class MatchingGraph:
             }
             for j, t in enumerate(self.tiles)
         ]
-        return out
-
-    def to_debug_json(self):
-        return json.dumps(self.to_debug_dict(), indent=2)
+        return json.dumps(out, indent=2)
 
     # -- weights ----------------------------------------------------------------
 

@@ -56,6 +56,11 @@ def _check_ints(values, what):
         raise SurfaceError(f"{what} must be an int, not {bad!r}")
 
 
+def _sides_text(sides):
+    """A list of sides as it is printed in messages: (A1, A2, B1)."""
+    return f"({', '.join(map(str, sides))})"
+
+
 def arc(i):
     return SideRef("A", i)
 
@@ -69,7 +74,7 @@ def sides_after(tri, a):
     for i, s in enumerate(tri):
         if s.is_arc and s.index == a:
             return tri[(i + 1) % 3], tri[(i + 2) % 3]
-    raise SurfaceError(f"arc {a} not a side of triangle {tri}")
+    raise SurfaceError(f"arc {a} not a side of triangle {_sides_text(tri)}")
 
 
 def turn(tri, entry, exit_):
@@ -81,7 +86,7 @@ def turn(tri, entry, exit_):
         return "R", prv
     if prv.is_arc and prv.index == exit_:
         return "L", nxt
-    raise SurfaceError(f"triangle {tri} does not link arcs {entry} -> {exit_}")
+    raise SurfaceError(f"triangle {_sides_text(tri)} does not link arcs {entry} -> {exit_}")
 
 
 @dataclass(frozen=True)
@@ -225,7 +230,7 @@ class Triangulation:
         counts_b = {}
         for tri in self.triangles:
             if len(tri) != 3:
-                problems.append(f"triangle {tri} does not have 3 sides")
+                problems.append(f"triangle {_sides_text(tri)} does not have 3 sides")
             for s in tri:
                 if s.is_arc:
                     if not 1 <= s.index <= self.n_arcs:
@@ -293,18 +298,12 @@ class Triangulation:
         return {}
 
     def other_triangle(self, a, t):
-        slots = self._slot_table.get(a, ())
-        if len(slots) != 2:
-            raise SurfaceError(f"arc {a} does not have two triangles")
-        (t0, _), (t1, _) = slots
-        if t == t0:
-            return t1
-        if t == t1:
-            return t0
-        raise SurfaceError(f"triangle {t} not adjacent to arc {a}")
-
-    def _has_arc(self, t, a):
-        return any(s.is_arc and s.index == a for s in self.triangles[t])
+        u = self._next_triangle.get((t, a))
+        if u is None:
+            if len(self._slot_table.get(a, ())) != 2:
+                raise SurfaceError(f"arc {a} does not have two triangles")
+            raise SurfaceError(f"triangle {t} not adjacent to arc {a}")
+        return u
 
     def triangle_walk(self, crossings, start_triangle=None, loop=False):
         """The forced sequence of triangles Delta_0..Delta_d traversed by a
@@ -344,7 +343,7 @@ class Triangulation:
             for a in crossings:
                 t = nxt.get((t, a))
                 if t is None:
-                    if self._has_arc(walk[-1], a):
+                    if any(u == walk[-1] for u, _ in self._slot_table.get(a, ())):
                         self.other_triangle(a, walk[-1])  # raises: arc a lacks two slots
                     last_err = f"triangle {walk[-1]} misses arc {a}"
                     break

@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .algebra import LaurentPolynomial, chebyshev
+from .algebra import LaurentPolynomial, NotDivisible, chebyshev
 from .errors import ClusterlabError
 from .mutation import initial_seed, mutate, mutate_seq
 from .snake import build_band, build_snake, expand, expand_band, trim_to_band
@@ -284,10 +284,18 @@ def check_genusg(g=3):
         X2 = expand_band(trim_to_band(s2))
         L = expand_band(build_band(T, T.boundary_loop()))
         a, ap = 4 * g - 1, 4 * g
-        lhs = V1 * V2 - L
-        quotient = lhs.div_exact(_y(n, (ap, 1)) * X1 + _x(a, n))
-        Y = quotient.div_exact(_y(n, (a, 1)))
-        Y = (Y - X2).div_exact(_x(ap, n))
+
+        def solve(step, p, d):
+            # a division that is not exact leaves no Y that makes the identity hold
+            try:
+                return p.div_exact(d)
+            except NotDivisible as exc:
+                raise _IdentityFailure(f"deriving Y: {step} is not exact: {exc}") from exc
+
+        divisor = _y(n, (ap, 1)) * X1 + _x(a, n)
+        Q = solve(f"Q = (V1*V2 - L) / (y{ap}*X1 + x{a})", V1 * V2 - L, divisor)
+        R = solve(f"R = Q / y{a}", Q, _y(n, (a, 1)))
+        Y = solve(f"(R - X2) / x{ap}", R - X2, _x(ap, n))
         if not Y.is_monomial():
             raise _IdentityFailure(f"derived Y is not a monomial: {Y.serialize()}")
         ((key, coeff),) = Y.exponent_items()

@@ -101,6 +101,10 @@ def test_div_exact_failure():
         (2 * x(1) + x(2)).div_exact(LP.const(2, 2, 2))
     with pytest.raises(NotDivisible):  # the third quotient term leaves the box
         (x(1) ** 2 + 1).div_exact(x(1) + 1)
+    with pytest.raises(NotDivisible, match="^no exact quotient$"):  # the quotient box is empty
+        x(1).div_exact(x(1) ** 2 + 1)
+    with pytest.raises(NotDivisible, match="^leading coefficient not divisible$"):
+        (x(1) + 1).div_exact(2 * x(1) + 2)
     with pytest.raises(ZeroDivisionError):
         x(1).div_exact(LP.zero(2))
 

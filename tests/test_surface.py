@@ -51,7 +51,7 @@ def test_validate_counts_the_sides_of_a_polygon():
     bad = Triangulation(genus=1, n_arcs=3, n_boundary=1, n_marked=1,
                         triangles=(quad, (arc(1), arc(2), arc(3))))
     assert bad.validate() == [
-        f"triangle {quad} does not have 3 sides",
+        "triangle (A1, A2, A3, B1) does not have 3 sides",
         "3*(#triangles) != 2*n_arcs + n_boundary",
     ]
 
@@ -131,6 +131,12 @@ def test_triangle_walk_start_and_errors():
                  lambda: one_slot.other_triangle(1, 0)):
         with pytest.raises(SurfaceError, match="^arc 1 does not have two triangles$"):
             walk()
+    # a triangle that does not hold the arcs named
+    tri = T.triangles[2]
+    with pytest.raises(SurfaceError, match=r"^triangle \(A3, A4, B1\) does not link arcs 3 -> 1$"):
+        turn(tri, 3, 1)
+    with pytest.raises(SurfaceError, match=r"^arc 1 not a side of triangle \(A3, A4, B1\)$"):
+        turn(tri, 1, 3)
 
 
 @pytest.mark.parametrize(

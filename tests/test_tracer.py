@@ -5,7 +5,8 @@ rename or a changed result type would silently leave a layer untraced.  This
 test loads the tracer unchanged, runs one snake and one band expansion and
 one mutation sequence under it, and checks that both snake spans carry work
 counts, that `mutate_seq` goes through the wrapped `mutation.mutate`, and that
-`uninstall` puts every original back.
+`uninstall` puts every original back.  A second test guards the names that
+the benchmark reads without the tracer.
 """
 
 import importlib.util
@@ -62,3 +63,19 @@ def test_tracer_wraps_the_snake_api_and_uninstalls():
     assert algebra.LaurentPolynomial.__dict__["__mul__"] is mul
     assert mutation.mutate is mutate
     assert verify.CASES == cases
+
+
+def test_names_the_benchmark_reads_outside_the_tracer():
+    # The benchmark also reads these names directly; deleting one would still
+    # pass every other test here and break only the benchmark run.
+    T = builtin_genus1()
+    # perfbench/workloads.py, ArcSweep.check:
+    #   len(snake.all_matchings_bruteforce(snake.build_snake(self.T, a)))
+    assert len(snake.all_matchings_bruteforce(snake.build_snake(T, ArcCrossing((1, 3))))) > 0
+    # perfbench/run.py, machine info: "kernel_backend": clusterlab.KERNEL_BACKEND
+    assert isinstance(clusterlab.KERNEL_BACKEND, str)
+    # perfbench/workloads.py, _fingerprint:
+    #   repr(seed.B) and repr(tuple(y.exps for y in seed.coeffs))
+    seed = mutation.initial_seed(T.exchange_matrix())
+    assert seed.B == tuple(row[: seed.n] for row in seed.M)
+    assert [y.exps for y in seed.coeffs] == [row[seed.n :] for row in seed.M]

@@ -128,6 +128,38 @@ def test_fuzz_fails_on_a_mixed_sign_c_vector(monkeypatch):
     assert r.detail.startswith("c-vector (1, -1, 0, 0) not sign-coherent after sequence")
 
 
+def test_eq1_fails_on_a_perturbed_fixture(monkeypatch):
+    fixture_polys = verify._fixture_polys
+
+    def perturbed(g):
+        T, polys = fixture_polys(g)
+        return T, {**polys, "X1": polys["X1"] + 1}
+
+    monkeypatch.setattr(verify, "_fixture_polys", perturbed)
+    r = check_eq1()
+    assert r.status == "fail"
+    assert r.detail.startswith("eq (1) principal: nonzero difference")
+
+
+def test_genusg_fails_when_deriving_y_is_not_exact(monkeypatch, capsys):
+    # X1 + 1 in place of X1 makes the identity false: the first division of
+    # the derivation of Y has no exact quotient, which is a failure, not a crash
+    T, v1_arc, _ = zigzag_v_arcs(3)
+    x1_crossings = trim_to_band(build_snake(T, v1_arc)).crossings
+
+    def perturbed(B, coeffs="principal"):
+        p = expand_band(B, coeffs)
+        return p + 1 if B.crossings == x1_crossings else p
+
+    monkeypatch.setattr(verify, "expand_band", perturbed)
+    r = check_genusg(3)
+    assert (r.status, r.detail) == (
+        "fail", "deriving Y: Q = (V1*V2 - L) / (y12*X1 + x11) is not exact: no exact quotient"
+    )
+    assert cli_main(["verify", "genus3"]) == 1
+    assert "FAIL    genus3" in capsys.readouterr().out
+
+
 def test_bangle_product_singleton_arc():
     T = builtin_genus1()
     spec = BangleSpec((ArcCrossing((1, 3)),))
