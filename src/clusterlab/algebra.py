@@ -18,7 +18,10 @@ on the magnitude of its exponents: a product adds the bounds of its factors,
 a sum takes their maximum, and an operation whose bound would pass
 EXPONENT_LIMIT = 2^31 - 1 raises ExponentOverflow.  Long division also keeps
 each quotient term inside the box that an exact quotient must lie in, which
-bounds every remainder key.  Exponent tuples appear only at the boundary:
+bounds every remainder key.  The box's corners are keys too: they come from
+the field-wise minimum and maximum keys of dividend and divisor, found by
+comparing all the fields of two keys at once.  Exponent tuples appear only
+at the boundary:
 the constructor, `monomial`, `parse`, `from_json`, `serialize`,
 `to_json_dict`, `sorted_keys` and `exponent_items`.
 
@@ -81,16 +84,12 @@ class TermCodec:
         struct.error if a digit is outside [0, 2^32)."""
         return int.from_bytes(self.struct.pack(*digits), "big")
 
-    def digits(self, key):
-        """The field values e_i + 2^31 of a key."""
-        return self.struct.unpack(key.to_bytes(self.size, "big"))
-
     def pack(self, exps):
         """The key of an exponent vector; callers check EXPONENT_LIMIT."""
         return self.raw([e + _BIAS for e in exps])
 
     def unpack(self, key):
-        return tuple([d - _BIAS for d in self.digits(key)])
+        return tuple([d - _BIAS for d in self.struct.unpack(key.to_bytes(self.size, "big"))])
 
 
 _CODECS = {}
@@ -152,6 +151,31 @@ def _add_into(out, items):
         else:
             del out[k]
     return out
+
+
+def _field_hull(keys, zero):
+    """The field-wise minimum and maximum of packed keys, as two keys.
+
+    The fields of two keys are compared all at once, as unsigned 32-bit
+    numbers.  zero has exactly bit 31 of every field set.  In
+    (a | zero) - (b & low) each field is 2^31 plus a's low 31 bits minus b's,
+    which is positive, so no field borrows from its neighbour and its bit 31
+    says whether a's low bits are at least b's.  Where the bit 31s of a and b
+    differ, a's bit 31 decides instead."""
+    low = (zero >> 31) * 0x7FFFFFFF
+    keys = iter(keys)
+    lo = hi = next(keys)
+    for k in keys:
+        kl = k & low
+        x = lo ^ k
+        split = x & zero
+        ge = split & lo | ((lo | zero) - kl) & (split ^ zero)  # lo >= k
+        lo ^= x & (ge >> 31) * 0xFFFFFFFF
+        x = hi ^ k
+        split = x & zero
+        ge = split & hi | ((hi | zero) - kl) & (split ^ zero)  # hi >= k
+        hi = k ^ x & (ge >> 31) * 0xFFFFFFFF
+    return lo, hi
 
 
 def _fmt_factors(symbol, exps):
@@ -360,7 +384,12 @@ class LaurentPolynomial:
         runs leading-term division in lex order.  An exact quotient has, in
         every variable, exponents from min(self) - min(other) to
         max(self) - max(other); a quotient term outside that box ends the
-        division, so it terminates and certifies exactness over ZZ.
+        division, so it terminates and certifies exactness over ZZ.  The box
+        is kept as two keys, low = pmin - qmin and top = pmax - qmax + 2 zero,
+        from the field-wise minimum and maximum keys of self (pmin, pmax) and
+        of other (qmin, qmax).  A box that is empty in some field raises
+        NotDivisible before a dividend whose span in some field passes
+        EXPONENT_LIMIT raises ExponentOverflow.
         """
         if isinstance(other, int):
             other = LaurentPolynomial.const(self.nx, self.ny, other)
@@ -386,21 +415,19 @@ class LaurentPolynomial:
                     out[k + off] = q
             return _new(self.nx, self.ny, out, bound)
 
-        pcols = list(zip(*map(codec.digits, self.terms)))
-        qcols = list(zip(*map(codec.digits, other.terms)))
-        pmin, pmax = list(map(min, pcols)), list(map(max, pcols))
-        qmin, qmax = list(map(min, qcols)), list(map(max, qcols))
-        lo = [a - b for a, b in zip(pmin, qmin)]
-        hi = [a - b for a, b in zip(pmax, qmax)]
-        if any(a > b for a, b in zip(lo, hi)):
+        pmin, pmax = _field_hull(self.terms, zero)
+        qmin, qmax = _field_hull(other.terms, zero)
+        pspan = pmax - pmin
+        # the box is empty in a field where other spans more than self
+        if _field_hull((pspan, qmax - qmin), zero)[1] != pspan:
             raise NotDivisible("no exact quotient")
-        if max(b - a for a, b in zip(pmin, pmax)) > EXPONENT_LIMIT:
+        if pspan & zero:
             raise ExponentOverflow(f"exponent span beyond {EXPONENT_LIMIT}")
-        # t lies in the box [lo, hi] iff the bias bit of every field is set
-        # in both t - low and top - t.  The check also keeps every remainder
-        # key inside the box of the dividend, so no field can carry.
-        low = codec.pack(lo) - zero
-        top = codec.pack(hi) + zero
+        # t lies in the box iff the bias bit of every field is set in both
+        # t - low and top - t.  The check also keeps every remainder key
+        # inside the box of the dividend, so no field can carry.
+        low = pmin - qmin
+        top = pmax - qmax + 2 * zero
         rem = dict(self.terms)
         q = list(other.terms.items())
         qlead, qlead_c = max(q)
@@ -423,7 +450,8 @@ class LaurentPolynomial:
                     rem[kk] = nc
                 else:
                     del rem[kk]
-        return _new(self.nx, self.ny, quot, max(map(abs, lo + hi)))
+        corners = codec.unpack(low + zero) + codec.unpack(top - zero)
+        return _new(self.nx, self.ny, quot, max(map(abs, corners)))
 
     # -- specializations ---------------------------------------------------
 

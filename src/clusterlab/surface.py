@@ -71,6 +71,8 @@ def boundary(i):
 
 def sides_after(tri, a):
     """The other two sides of triangle `tri`, in ccw order after arc `a`."""
+    if len(tri) != 3:
+        raise SurfaceError(f"triangle {_sides_text(tri)} does not have 3 sides")
     for i, s in enumerate(tri):
         if s.is_arc and s.index == a:
             return tri[(i + 1) % 3], tri[(i + 2) % 3]

@@ -11,8 +11,10 @@ from clusterlab.algebra import (
     RankMismatch,
     SemifieldSpec,
     TropicalMonomial,
+    _field_hull,
     chebyshev,
     specialize,
+    term_codec,
     tropical_eval,
 )
 
@@ -286,3 +288,38 @@ def test_exponent_at_the_bound_raises_typed_error():
     ):
         with pytest.raises(ExponentOverflow):
             op()
+
+
+def test_field_hull_is_the_per_field_min_and_max():
+    # Exponents 0, +-1, +-2^30 and +-(2^31 - 1) make fields that differ in
+    # bit 31 and fields that agree there, so both halves of the comparison
+    # run; raw field values up to 2^32 - 1 are the spans that div_exact
+    # compares, which no subtraction biased by 2^31 could order.
+    rng = random.Random(19)
+    h, top = 1 << 30, EXPONENT_LIMIT
+    exps = [0, 1, -1, h, -h, top, -top]
+    digits = [0, 1, h, 2 * h - 1, 2 * h, 2 * h + 1, 3 * h, 4 * h - 2, 4 * h - 1]
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        p = LP(n, n, {tuple(rng.choice(exps) for _ in range(2 * n)): 1
+                      for _ in range(rng.randint(1, 8))})
+        codec = term_codec(2 * n)
+        cols = list(zip(*[e for e, _ in p.exponent_items()]))
+        lo, hi = _field_hull(p.terms, codec.zero)
+        assert codec.unpack(lo) == tuple(map(min, cols))
+        assert codec.unpack(hi) == tuple(map(max, cols))
+        rows = [[rng.choice(digits) for _ in range(2 * n)] for _ in range(rng.randint(1, 8))]
+        lo, hi = _field_hull([codec.raw(r) for r in rows], codec.zero)
+        assert lo == codec.raw(list(map(min, zip(*rows))))
+        assert hi == codec.raw(list(map(max, zip(*rows))))
+
+
+def test_empty_quotient_box_is_reported_before_a_wide_span():
+    # x1 spans 2^31 + 2 > EXPONENT_LIMIT in the dividend, and the box is
+    # empty in x2, where the divisor spans 1 and the dividend 0
+    h = 1 << 30
+    wide = LP.monomial(2, 2, 1, (h + 1,)) + LP.monomial(2, 2, 1, (-h - 1,))
+    with pytest.raises(NotDivisible, match="^no exact quotient$"):
+        wide.div_exact(x(2) + 1)
+    with pytest.raises(ExponentOverflow, match=f"^exponent span beyond {EXPONENT_LIMIT}$"):
+        wide.div_exact(x(1) + 1)

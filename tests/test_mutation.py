@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from clusterlab.algebra import ExponentOverflow, LaurentPolynomial as LP, TropicalMonomial
+from clusterlab.algebra import (
+    ExponentOverflow,
+    LaurentPolynomial as LP,
+    NotDivisible,
+    TropicalMonomial,
+)
 from clusterlab.mutation import (
     MutationError,
     NotFound,
@@ -182,6 +187,36 @@ def test_mutate_matches_reference_on_a_replaced_x2(x2):
     s = Seed(M=s0.M, cluster=(s0.cluster[0], LP.parse(x2, 4)) + s0.cluster[2:])
     for k in (1, 3, 4):
         _mutate_as_reference(s, k)
+
+
+def _with_x1(x1):
+    s0 = initial_seed(builtin_genus1().exchange_matrix())
+    return Seed(M=s0.M, cluster=(LP.parse(x1, 4),) + s0.cluster[1:])
+
+
+def test_mutate_folds_a_unit_monomial_leaving_variable(monkeypatch):
+    # a leaving variable of one term with coefficient 1 is a key shift of
+    # the relation, with no division, and still matches the reference
+    s = _with_x1("x1^2*y3")
+    divisors = []
+    div_exact = LP.div_exact
+    monkeypatch.setattr(LP, "div_exact", lambda p, q: divisors.append(q) or div_exact(p, q))
+    mutate(s, 1)
+    assert divisors == []
+    monkeypatch.undo()
+    got = _mutate_as_reference(s, 1)
+    # the relation y1 x2^2 + x3 x4 has bound 3, and x1^2 y3 has bound 2
+    assert got.cluster[0]._bound == 5
+
+
+def test_mutate_reports_an_inexact_leaving_variable():
+    # 2*x1 is not folded: the division by it fails, in the reference too
+    s = _with_x1("2*x1")
+    with pytest.raises(NotDivisible):
+        _reference_mutate(s, 1)
+    with pytest.raises(MutationError,
+                       match="^exchange relation not exact at k=1: coefficient not divisible$"):
+        mutate(s, 1)
 
 
 @pytest.mark.parametrize("multi_term", [False, True], ids=["monomial", "multi-term"])

@@ -139,6 +139,19 @@ def test_triangle_walk_start_and_errors():
         turn(tri, 1, 3)
 
 
+def test_turn_rejects_a_polygon_without_3_sides():
+    # a walk into a 2-gon, and a 4-gon whose 3rd and 4th sides are adjacent,
+    # get validate's message rather than an IndexError or a wrong turn
+    two_gon = Triangulation(genus=0, n_arcs=3, n_boundary=1, n_marked=1,
+                            triangles=((arc(1), arc(2), arc(3)), (arc(1), arc(2)),
+                                       (arc(3), boundary(1))))
+    with pytest.raises(SurfaceError, match=r"^triangle \(A1, A2\) does not have 3 sides$"):
+        list(two_gon.arc_walks(3, same_turn=True))
+    with pytest.raises(SurfaceError,
+                       match=r"^triangle \(A1, A2, A3, A4\) does not have 3 sides$"):
+        turn((arc(1), arc(2), arc(3), arc(4)), 3, 4)
+
+
 @pytest.mark.parametrize(
     "call",
     [
