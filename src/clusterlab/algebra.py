@@ -31,6 +31,7 @@ polynomial, so instances are safe to share between threads.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import struct
@@ -92,15 +93,10 @@ class TermCodec:
         return tuple([d - _BIAS for d in self.struct.unpack(key.to_bytes(self.size, "big"))])
 
 
-_CODECS = {}
-
-
+@functools.cache
 def term_codec(n):
     """The codec for exponent vectors of length n, built on first use."""
-    codec = _CODECS.get(n)
-    if codec is None:
-        codec = _CODECS[n] = TermCodec(n)
-    return codec
+    return TermCodec(n)
 
 
 def _checked(bound):
@@ -212,10 +208,10 @@ class LaurentPolynomial:
         packed = {}
         bound = 0
         for exps, c in terms.items():
-            if not c:
-                continue
             if len(exps) != nx + ny:
                 raise RankMismatch(f"exponent vector {exps} is not of length {nx + ny}")
+            if not c:
+                continue
             bound = max(bound, _checked(max(map(abs, exps), default=0)))
             packed[codec.pack(exps)] = c
         self.nx = nx
@@ -236,11 +232,7 @@ class LaurentPolynomial:
         y = tuple(y_exps) + (0,) * (ny - len(y_exps))
         if len(x) != nx or len(y) != ny:
             raise RankMismatch("exponent vector longer than rank")
-        if not coeff:
-            return cls.zero(nx, ny)
-        exps = x + y
-        bound = _checked(max(map(abs, exps), default=0))
-        return _new(nx, ny, {term_codec(nx + ny).pack(exps): coeff}, bound)
+        return cls(nx, ny, {x + y: coeff})
 
     @classmethod
     def from_packed(cls, nx, ny, terms, bound):
@@ -330,8 +322,6 @@ class LaurentPolynomial:
         return _new(self.nx, self.ny, {k: -c for k, c in self.terms.items()}, self._bound)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPolynomial.const(self.nx, self.ny, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -352,7 +342,7 @@ class LaurentPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
+        if type(k) is not int or k < 0:  # a bool is not an exponent
             raise ValueError("exponent must be a nonnegative integer")
         result = None
         base = self
@@ -389,7 +379,10 @@ class LaurentPolynomial:
         from the field-wise minimum and maximum keys of self (pmin, pmax) and
         of other (qmin, qmax).  A box that is empty in some field raises
         NotDivisible before a dividend whose span in some field passes
-        EXPONENT_LIMIT raises ExponentOverflow.
+        EXPONENT_LIMIT raises ExponentOverflow.  In lex order the least term
+        of a product is the product of the least terms: after the first
+        quotient term's tests, least terms that do not divide within the box
+        raise NotDivisible at once.
         """
         if isinstance(other, int):
             other = LaurentPolynomial.const(self.nx, self.ny, other)
@@ -431,6 +424,8 @@ class LaurentPolynomial:
         rem = dict(self.terms)
         q = list(other.terms.items())
         qlead, qlead_c = max(q)
+        qlast = min(other.terms)
+        last = min(self.terms)
         to_t = zero - qlead
         quot = {}
         while rem:
@@ -441,6 +436,11 @@ class LaurentPolynomial:
             c, r = divmod(rem[rlead], qlead_c)
             if r != 0:
                 raise NotDivisible("leading coefficient not divisible")
+            if not quot:  # the least terms of self and other must divide too
+                t_last = last + zero - qlast
+                if (self.terms[last] % other.terms[qlast]
+                        or (t_last - low) & (top - t_last) & zero != zero):
+                    raise NotDivisible("no exact quotient")
             quot[t] = c
             d = t - zero
             for k, qc in q:
@@ -543,8 +543,6 @@ class LaurentPolynomial:
         terms = {}
         for t in data["terms"]:
             key = tuple(t["x"]) + tuple(t["y"])
-            if len(key) != nx + ny:
-                raise RankMismatch(f"exponent vector {key} is not of length {nx + ny}")
             terms[key] = terms.get(key, 0) + int(t["coeff"])
         return cls(nx, ny, terms)
 
@@ -617,8 +615,8 @@ class SemifieldSpec:
     expansions.
 
     kind "principal" keeps the principal coefficients, "trivial" sets every
-    y to 1, and "tropical" maps y_i to the given monomial in a tropical
-    semifield of the stated rank.
+    y to 1, and "tropical" maps y_i to assignment[i - 1], a monomial in the
+    tropical semifield of rank `rank`; `map_y` checks the assignment's length.
     """
 
     kind: str
@@ -647,19 +645,11 @@ class SemifieldSpec:
     def tropical_identity(cls, n):
         return cls.tropical(n, [TropicalMonomial.generator(i, n) for i in range(1, n + 1)])
 
-    def images(self, ny):
-        if self.kind == "trivial":
-            return [()] * ny, 0
-        if self.kind == "tropical":
-            if len(self.assignment) != ny:
-                raise RankMismatch("assignment must cover every y-variable")
-            return [a.exps for a in self.assignment], self.rank
-        raise ValueError(f"no y-images for semifield kind {self.kind!r}")
-
 
 def tropical_eval(f, spec):
     """Evaluate a y-only Laurent polynomial with positive coefficients in a
-    tropical semifield: + becomes componentwise min, * adds exponents."""
+    tropical semifield: + becomes componentwise min, * adds exponents.  A
+    wrong-length assignment raises RankMismatch."""
     if f.is_zero():
         raise ValueError("cannot tropically evaluate the zero polynomial")
     if not f.coefficients_positive():
@@ -671,7 +661,7 @@ def tropical_eval(f, spec):
     if spec.kind != "tropical":
         raise ValueError("tropical_eval needs a trivial or tropical semifield")
     # The coefficients are positive, so merging terms in map_y cancels none.
-    g = f.map_y(*spec.images(f.ny))
+    g = f.map_y([a.exps for a in spec.assignment], spec.rank)
     ys = [g.y_part(k) for k, _ in g.exponent_items()]
     return TropicalMonomial(tuple(map(min, zip(*ys))))
 
@@ -681,28 +671,28 @@ def specialize(p, spec):
     coefficient expansion in the semifield `spec` and divide by the tropical
     evaluation of its F-polynomial.
 
-    For the trivial semifield this is exactly "set every y_i := 1".
+    For the trivial semifield this is exactly "set every y_i := 1".  In a
+    tropical one y is substituted before the F-polynomial is evaluated, so a
+    wrong-length assignment raises RankMismatch before any ValueError.
     """
     if spec.kind == "principal":
         return p
     if p.is_zero():
         raise ValueError("cannot specialize the zero polynomial")
-    fpol = p.f_polynomial()
     if spec.kind == "trivial":
         return p.set_y_one()
-    images, m = spec.images(p.ny)
-    denom = tropical_eval(fpol, spec)
-    substituted = p.map_y([tuple(im) for im in images], m)
-    return substituted * LaurentPolynomial.y_monomial(p.nx, m, [-e for e in denom.exps])
+    if spec.kind != "tropical":
+        raise ValueError(f"no y-images for semifield kind {spec.kind!r}")
+    substituted = p.map_y([a.exps for a in spec.assignment], spec.rank)
+    denom = tropical_eval(p.f_polynomial(), spec)
+    return substituted * LaurentPolynomial.y_monomial(p.nx, spec.rank, [-e for e in denom.exps])
 
 
 def chebyshev(k, L):
     """Normalized Chebyshev polynomial T_k(L) with T_1 = L, T_2 = L^2 - 2
     and T_k = L*T_{k-1} - T_{k-2} (trivial-coefficient convention)."""
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise ValueError("Chebyshev index must be a positive integer")
-    if k == 1:
-        return L
     two = LaurentPolynomial.const(L.nx, L.ny, 2)
     prev, cur = two, L  # T_0 = 2, T_1 = L
     for _ in range(2, k + 1):

@@ -478,6 +478,7 @@ def builtin_genus(g):
     orientation was validated against the Laurent-polynomial identities for
     g = 1, 2 and the derived coefficient monomial for higher genus.
     """
+    _check_ints((g,), "genus")
     if g < 1:
         raise SurfaceError("genus must be >= 1")
     d = [arc(2 + i) for i in range(1, 2 * g - 1)]

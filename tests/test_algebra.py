@@ -44,6 +44,9 @@ def test_add_identity():
 
 def test_add_cancellation():
     assert (x(1) + x(2)) + (x(1) - x(2)) == 2 * x(1)
+    p = x(1) + y(2)
+    assert p - 3 == p + (-3) == p + LP.const(2, 2, -3)
+    assert 3 - p == -p + 3
 
 
 def test_mul_identity_and_inverse():
@@ -69,6 +72,19 @@ def test_rank_mismatch_raises():
         SemifieldSpec.tropical(2, [(1, 2, 3), (0, 1)])
     with pytest.raises(RankMismatch):
         LP.from_json_dict({"nx": 2, "ny": 2, "terms": [{"x": [1], "y": [0, 0], "coeff": 1}]})
+    # a short key is an error even when its coefficients cancel
+    with pytest.raises(RankMismatch, match=r"^exponent vector \(1,\) is not of length 4$"):
+        LP(2, 2, {(1,): 0})
+    with pytest.raises(RankMismatch, match=r"^exponent vector \(1, 0, 0\) is not of length 4$"):
+        LP.from_json_dict({"nx": 2, "ny": 2, "terms": [
+            {"x": [1], "y": [0, 0], "coeff": 1}, {"x": [1], "y": [0, 0], "coeff": -1}]})
+    # specialize reports a wrong-length assignment before the negative
+    # coefficient of the F-polynomial
+    short = SemifieldSpec.tropical(1, [(1,)])
+    with pytest.raises(RankMismatch, match="^one image per y-variable required$"):
+        specialize(x(1) - y(1), short)
+    with pytest.raises(RankMismatch, match="^one image per y-variable required$"):
+        tropical_eval(y(1) + 1, short)
 
 
 def test_ring_laws_random():
@@ -107,6 +123,13 @@ def test_div_exact_failure():
         x(1).div_exact(x(1) ** 2 + 1)
     with pytest.raises(NotDivisible, match="^leading coefficient not divisible$"):
         (x(1) + 1).div_exact(2 * x(1) + 2)
+    # the least terms do not divide: reported without walking the 2^20 steps
+    # of the quotient box
+    with pytest.raises(NotDivisible, match="^no exact quotient$"):
+        (x(1) ** (1 << 20) + 1).div_exact(x(1) - 2)
+    # the first quotient term 1 is the whole box; the least terms imply x2^-1
+    with pytest.raises(NotDivisible, match="^no exact quotient$"):
+        (x(1) + x(2) + 1).div_exact(x(1) + x(2))
     with pytest.raises(ZeroDivisionError):
         x(1).div_exact(LP.zero(2))
 
@@ -177,6 +200,13 @@ def test_chebyshev_base_cases():
     assert chebyshev(3, L) == L ** 3 - 3 * L
     with pytest.raises(ValueError):
         chebyshev(0, L)
+    # True is not read as 1, as a mutation index is not
+    for k in (True, 2.0):
+        with pytest.raises(ValueError, match="^Chebyshev index must be a positive integer$"):
+            chebyshev(k, L)
+    for k in (True, -1, 2.0):
+        with pytest.raises(ValueError, match="^exponent must be a nonnegative integer$"):
+            L ** k
 
 
 def test_serialize_roundtrip_text():

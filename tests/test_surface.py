@@ -169,6 +169,8 @@ def test_turn_rejects_a_polygon_without_3_sides():
         lambda T: SideRef("A", True),
         lambda T: SideRef("B", 1.5),
         lambda T: SideRef("A", "1"),
+        lambda T: builtin_genus(2.5),
+        lambda T: builtin_genus(True),
     ],
 )
 def test_non_int_indices_are_surface_errors(call):

@@ -128,6 +128,26 @@ def test_fuzz_fails_on_a_mixed_sign_c_vector(monkeypatch):
     assert r.detail.startswith("c-vector (1, -1, 0, 0) not sign-coherent after sequence")
 
 
+@pytest.mark.parametrize(
+    "name, fake, detail",
+    [
+        # mutate_seq returns a seed whose x1 is negated
+        ("mutate_seq",
+         lambda s, seq: dataclasses.replace(s, cluster=(-s.cluster[0],) + s.cluster[1:]),
+         "negative coefficient after sequence"),
+        # a "mutation" that rotates the cluster is not an involution
+        ("mutate", lambda s, k: dataclasses.replace(s, cluster=s.cluster[1:] + s.cluster[:1]),
+         "involution failed after"),
+    ],
+    ids=["negative-coefficient", "involution"],
+)
+def test_fuzz_fails_on_a_broken_seed(monkeypatch, name, fake, detail):
+    monkeypatch.setattr(verify, name, fake)
+    r = check_fuzz(trials=2, max_len=3, seed=0)
+    assert r.status == "fail"
+    assert r.detail.startswith(detail)
+
+
 def test_eq1_fails_on_a_perturbed_fixture(monkeypatch):
     fixture_polys = verify._fixture_polys
 
@@ -158,6 +178,36 @@ def test_genusg_fails_when_deriving_y_is_not_exact(monkeypatch, capsys):
     )
     assert cli_main(["verify", "genus3"]) == 1
     assert "FAIL    genus3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "shift, detail",
+    [
+        # Y + y1: two terms
+        (lambda Y, n: LP.y_var(1, n), "derived Y is not a monomial: "),
+        # x1 in place of Y: one term, but not in the y-variables alone
+        (lambda Y, n: LP.x_var(1, n) - Y, "derived Y is not a y-monomial: x1"),
+    ],
+    ids=["two-terms", "x-monomial"],
+)
+def test_genusg_fails_when_derived_y_is_not_a_y_monomial(monkeypatch, shift, detail):
+    # X2 - x_a' * D in place of X2 makes the derived Y read Y + D
+    g = 3
+    T, _, v2_arc = zigzag_v_arcs(g)
+    n, ap = T.n_arcs, 4 * g
+    x2_crossings = trim_to_band(build_snake(T, v2_arc)).crossings
+    Y = LP.parse(check_genusg(g).detail.removeprefix("V-identity exact with Y = "), n)
+
+    def perturbed(B, coeffs="principal"):
+        p = expand_band(B, coeffs)
+        if B.crossings == x2_crossings:
+            p = p - LP.x_var(ap, n) * shift(Y, n)
+        return p
+
+    monkeypatch.setattr(verify, "expand_band", perturbed)
+    r = check_genusg(g)
+    assert r.status == "fail"
+    assert r.detail.startswith(detail)
 
 
 def test_bangle_product_singleton_arc():
@@ -235,6 +285,15 @@ def test_cli_expand_and_mutate(capsys):
     assert cli_main(["mutate", "--surface", "genus1", "--seq", "1", "--show", "1"]) == 0
     out = capsys.readouterr().out.strip()
     assert out == "x1^-1*x2^2*y1 + x1^-1*x3*x4"
+
+    # without --show every cluster entry is listed
+    assert cli_main(["mutate", "--surface", "genus1", "--seq", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["x1' = x1^-1*x2^2*y1 + x1^-1*x3*x4", "x2' = x2", "x3' = x3", "x4' = x4"]
+
+    assert cli_main(["expand", "--surface", "annulus", "--arc", "1,2", "--loop"]) == 0
+    out = capsys.readouterr().out.strip()
+    assert out == "x1*x2^-1 + x1^-1*x2*y1*y2 + x1^-1*x2^-1*y2"
 
 
 def test_cli_surface_print(capsys):
