@@ -47,6 +47,7 @@ _FACTOR = re.compile(r"([xy])(-?[0-9]+)(?:\^(-?[0-9]+))?")  # parse: x3, y2^4, x
 
 _BIAS = 1 << 31
 EXPONENT_LIMIT = _BIAS - 1
+_PRIME = 101  # the modulus of div_exact's test that no quotient exists
 
 
 class RankMismatch(ClusterlabError):
@@ -172,6 +173,20 @@ def _field_hull(keys, zero):
         ge = split & hi | ((hi | zero) - kl) & (split ^ zero)  # hi >= k
         hi = k ^ x & (ge >> 31) * 0xFFFFFFFF
     return lo, hi
+
+
+def _no_quotient_mod_prime(p, q, unpack):
+    """True when q(a, ..., a) = 0 and p(a, ..., a) != 0 mod _PRIME for some a
+    in 1.._PRIME - 1, for term maps p and q.  Sending every variable to a
+    nonzero a is a ring map into the field of _PRIME elements, so q then
+    does not divide p.  By Fermat a degree counts modulo _PRIME - 1, so no number
+    grows with the exponents."""
+    pd, qd = ([(sum(unpack(k)) % (_PRIME - 1), c) for k, c in f.items()] for f in (p, q))
+
+    def at(degs, a):
+        return sum(c * pow(a, e, _PRIME) for e, c in degs) % _PRIME
+
+    return any(at(pd, a) for a in range(1, _PRIME) if not at(qd, a))
 
 
 def _fmt_factors(symbol, exps):
@@ -382,7 +397,11 @@ class LaurentPolynomial:
         EXPONENT_LIMIT raises ExponentOverflow.  In lex order the least term
         of a product is the product of the least terms: after the first
         quotient term's tests, least terms that do not divide within the box
-        raise NotDivisible at once.
+        raise NotDivisible at once.  A product of polynomials with positive
+        coefficients has more terms than either factor, so the quotient
+        rarely grows as large as self; when it first does,
+        `_no_quotient_mod_prime` runs once, and a division that would walk
+        far down the box before failing fails there.
         """
         if isinstance(other, int):
             other = LaurentPolynomial.const(self.nx, self.ny, other)
@@ -442,6 +461,10 @@ class LaurentPolynomial:
                         or (t_last - low) & (top - t_last) & zero != zero):
                     raise NotDivisible("no exact quotient")
             quot[t] = c
+            if len(quot) == len(self.terms) and _no_quotient_mod_prime(
+                self.terms, other.terms, codec.unpack
+            ):
+                raise NotDivisible("no exact quotient")
             d = t - zero
             for k, qc in q:
                 kk = k + d

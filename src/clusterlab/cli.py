@@ -66,7 +66,7 @@ def _int_list(text, option):
 
 
 def cmd_verify(args):
-    names = None if args.case in ("all", None) else [args.case]
+    names = None if args.case == "all" else [args.case]
     reports = run_cases(names, seed=args.seed)
     if args.json:
         print(json.dumps([r.to_json_dict() for r in reports], indent=2))

@@ -8,8 +8,7 @@ matrix mutation updates both B and the coefficients; it rebuilds only the
 rows that change and shares the others.  Exchange relations are computed
 exactly in the Laurent ring, each side as one packed key offset (the
 y-monomial and every monomial cluster factor) times the product of its
-multi-term factors; a leaving variable that is one term with coefficient 1
-is one more offset.  By the Laurent phenomenon the division by the leaving
+multi-term factors.  By the Laurent phenomenon the division by the leaving
 variable is always exact, so a division failure is a loud bug detector.
 """
 
@@ -159,13 +158,8 @@ def mutate(seed, k):
     factor x_i^|b_ik| whose x_i is a single term with coefficient 1, as
     (key - zero) * |b_ik|; the product is shifted by it once.  A side's
     exponent bound is the sum of |b_ik| * bound(x_i) plus its largest
-    y-exponent, the bound the factor-by-factor product would carry.
-
-    A leaving variable x_k that is a single term with coefficient 1 is
-    divided out the same way: zero - key(x_k) is added to both offsets, and
-    the result's bound is the relation's bound plus bound(x_k), each checked
-    against EXPONENT_LIMIT in that order.  Any other x_k goes through
-    div_exact.
+    y-exponent, the bound the factor-by-factor product would carry.  The
+    relation is then divided by x_k with div_exact.
     """
     n = seed.n
     if type(k) is not int:  # a bool is not a mutation index either
@@ -206,24 +200,16 @@ def mutate(seed, k):
                 continue
         factors[side].append(xi ** e)
 
-    leaving = cluster[kk]
-    folded = leaving.is_monomial() and 1 in leaving.terms.values()
-    if folded:
-        (key,) = leaving.terms
-        offsets = [off + zero - key for off in offsets]
     pos, neg = [
         reduce(mul, side_factors).terms if side_factors else {zero: 1} for side_factors in factors
     ]
     relation = {key + offsets[0]: c for key, c in pos.items()}
     _add_into(relation, {key + offsets[1]: c for key, c in neg.items()}.items())
     rhs = LaurentPolynomial.from_packed(n, n, relation, max(bounds))
-    if folded:
-        new_var = LaurentPolynomial.from_packed(n, n, relation, rhs._bound + leaving._bound)
-    else:
-        try:
-            new_var = rhs.div_exact(leaving)
-        except NotDivisible as exc:
-            raise MutationError(f"exchange relation not exact at k={k}: {exc}") from exc
+    try:
+        new_var = rhs.div_exact(cluster[kk])
+    except NotDivisible as exc:
+        raise MutationError(f"exchange relation not exact at k={k}: {exc}") from exc
 
     new_cluster = list(cluster)
     new_cluster[kk] = new_var

@@ -105,9 +105,6 @@ class ArcCrossing:
         if not self.sequence:
             raise SurfaceError("empty crossing sequence")
 
-    def __len__(self):
-        return len(self.sequence)
-
 
 @dataclass(frozen=True)
 class LoopCrossing:
@@ -366,7 +363,7 @@ class Triangulation:
         triangle's arc sides in listed order, never recrossing the arc just
         crossed.  `same_turn` keeps only the walks in which every triangle
         turns the same way (see `turn`)."""
-        tris, nxt = self.triangles, self._next_triangle
+        tris = self.triangles
         if start is not None:
             _check_ints((start,), "start triangle")
             if not 0 <= start < len(tris):
@@ -384,27 +381,11 @@ class Triangulation:
                 t = turn(tri, seq[-1], s.index)[0] if same_turn and seq else None
                 if last_turn and t != last_turn:
                     continue
-                u = nxt.get((walk[-1], s.index))
-                if u is None:
-                    u = self.other_triangle(s.index, walk[-1])  # raises
+                u = self.other_triangle(s.index, walk[-1])
                 yield from extend(seq + (s.index,), walk + [u], t)
 
         for t0 in range(len(tris)) if start is None else (start,):
             yield from extend((), [t0], None)
-
-    def validates_arc(self, crossing):
-        try:
-            self.triangle_walk(crossing.sequence, crossing.start_triangle)
-            return True
-        except SurfaceError:
-            return False
-
-    def validates_loop(self, crossing):
-        try:
-            self.triangle_walk(crossing.cyclic_sequence, loop=True)
-            return True
-        except SurfaceError:
-            return False
 
     # -- the loop around the boundary ------------------------------------------
 
@@ -444,10 +425,7 @@ class Triangulation:
         counts = {k: data[k] for k in ("genus", "n_arcs", "n_boundary", "n_marked")}
         for k, v in counts.items():
             _check_ints((v,), k)
-        return cls(
-            **counts,
-            triangles=tuple(tuple(SideRef.parse(s) for s in tri) for tri in data["triangles"]),
-        )
+        return cls(**counts, triangles=data["triangles"])
 
     @classmethod
     def from_json(cls, text):

@@ -131,22 +131,27 @@ ANNULUS_LOOP = (1, 2)
 _FIXTURES = {1: (GENUS1_ARCS, ("V1",)), 2: (GENUS2_ARCS, ("V1", "V2"))}
 
 
+def _polys(T, arcs, trimmed):
+    """Expansions of the arcs {name: ArcCrossing}, of the boundary loop L,
+    and of the trimmed bands X1, X2, ... of the arcs named in `trimmed`."""
+    snakes = {k: build_snake(T, v) for k, v in arcs.items()}
+    polys = {k: expand(S) for k, S in snakes.items()}
+    polys["L"] = expand_band(build_band(T, T.boundary_loop()))
+    for i, name in enumerate(trimmed, start=1):
+        polys[f"X{i}"] = expand_band(trim_to_band(snakes[name]))
+    return polys
+
+
 def _fixture_polys(g):
-    """Expansions of the genus-g fixture arcs, of the boundary loop L, and
-    of the trimmed bands X1, X2, ..."""
+    """The genus-g surface and `_polys` of its fixture arcs."""
     T = builtin_genus(g)
     arcs, trimmed = _FIXTURES[g]
     try:
-        snakes = {k: build_snake(T, ArcCrossing(v)) for k, v in arcs.items()}
-        polys = {k: expand(S) for k, S in snakes.items()}
-        polys["L"] = expand_band(build_band(T, T.boundary_loop()))
-        for i, name in enumerate(trimmed, start=1):
-            polys[f"X{i}"] = expand_band(trim_to_band(snakes[name]))
+        return T, _polys(T, {k: ArcCrossing(v) for k, v in arcs.items()}, trimmed)
     except Exception as exc:
         raise CaseError(
             f"genus-{g} fixture construction failed: {type(exc).__name__}: {exc}"
         ) from exc
-    return T, polys
 
 
 @functools.lru_cache(maxsize=None)
@@ -277,25 +282,20 @@ def check_genusg(g=3):
             raise CaseError("genus-g identity needs g >= 2")
         T, v1_arc, v2_arc = zigzag_v_arcs(g)
         n = T.n_arcs
-        s1 = build_snake(T, v1_arc)
-        s2 = build_snake(T, v2_arc)
-        V1, V2 = expand(s1), expand(s2)
-        X1 = expand_band(trim_to_band(s1))
-        X2 = expand_band(trim_to_band(s2))
-        L = expand_band(build_band(T, T.boundary_loop()))
+        p = _polys(T, {"V1": v1_arc, "V2": v2_arc}, ("V1", "V2"))
         a, ap = 4 * g - 1, 4 * g
 
-        def solve(step, p, d):
+        def solve(step, f, d):
             # a division that is not exact leaves no Y that makes the identity hold
             try:
-                return p.div_exact(d)
+                return f.div_exact(d)
             except NotDivisible as exc:
                 raise _IdentityFailure(f"deriving Y: {step} is not exact: {exc}") from exc
 
-        divisor = _y(n, (ap, 1)) * X1 + _x(a, n)
-        Q = solve(f"Q = (V1*V2 - L) / (y{ap}*X1 + x{a})", V1 * V2 - L, divisor)
+        divisor = _y(n, (ap, 1)) * p["X1"] + _x(a, n)
+        Q = solve(f"Q = (V1*V2 - L) / (y{ap}*X1 + x{a})", p["V1"] * p["V2"] - p["L"], divisor)
         R = solve(f"R = Q / y{a}", Q, _y(n, (a, 1)))
-        Y = solve(f"(R - X2) / x{ap}", R - X2, _x(ap, n))
+        Y = solve(f"(R - X2) / x{ap}", R - p["X2"], _x(ap, n))
         if not Y.is_monomial():
             raise _IdentityFailure(f"derived Y is not a monomial: {Y.serialize()}")
         ((key, coeff),) = Y.exponent_items()
@@ -314,17 +314,14 @@ def check_chebyshev(k=2):
     annulus and on the genus-1 boundary loop."""
 
     def body():
-        A = annulus_fixture()
-        loop = LoopCrossing(ANNULUS_LOOP)
-        z = expand_band(build_band(A, loop), "trivial")
-        zk = expand_band(build_band(A, loop.repeated(k)), "trivial")
-        _assert_zero(zk - chebyshev(k, z), f"annulus bracelet T_{k}")
-
-        T = builtin_genus1()
-        loop1 = T.boundary_loop()
-        L = expand_band(build_band(T, loop1), "trivial")
-        Lk = expand_band(build_band(T, loop1.repeated(k)), "trivial")
-        _assert_zero(Lk - chebyshev(k, L), f"genus-1 boundary bracelet T_{k}")
+        T1 = builtin_genus1()
+        for T, loop, where in (
+            (annulus_fixture(), LoopCrossing(ANNULUS_LOOP), "annulus"),
+            (T1, T1.boundary_loop(), "genus-1 boundary"),
+        ):
+            L = expand_band(build_band(T, loop), "trivial")
+            Lk = expand_band(build_band(T, loop.repeated(k)), "trivial")
+            _assert_zero(Lk - chebyshev(k, L), f"{where} bracelet T_{k}")
         return f"k = {k} wraps match T_{k} on the annulus and the genus-1 loop"
 
     return _run(f"chebyshev{k}", body)
@@ -358,7 +355,7 @@ def check_fuzz(trials=100, max_len=8, seed=0):
                 k = rng.randint(1, n)
                 if mutate(mutate(s, k), k) != s:
                     raise _IdentityFailure(f"involution failed after {seq} at {k}")
-        return f"{trials} sequences of length <= {max_len}: Laurent, positive, involutive"
+        return f"{2 * (trials // 2)} sequences of length <= {max_len}: Laurent, positive, involutive"
 
     return _run("fuzz", body)
 
@@ -392,7 +389,7 @@ CASES = {
 def run_cases(names=None, seed=0):
     """Run the named cases (all by default) in registry order; each report
     carries the name of its case."""
-    if names is None or names == ["all"]:
+    if names is None:
         names = list(CASES)
     reports = []
     for name in names:

@@ -127,6 +127,13 @@ def test_div_exact_failure():
     # of the quotient box
     with pytest.raises(NotDivisible, match="^no exact quotient$"):
         (x(1) ** (1 << 20) + 1).div_exact(x(1) - 2)
+    # the least terms divide, but x1 = 2 is a root of x1 - 2 and not of the
+    # dividend mod 101: reported before the walk down the quotient box
+    for K in (1 << 20, 1 << 30):
+        with pytest.raises(NotDivisible, match="^no exact quotient$"):
+            (x(1) ** K + 2).div_exact(x(1) - 2)
+    # the same test passes an exact quotient as large as its dividend
+    assert (x(1) ** 2 - 1).div_exact(x(1) - 1) == x(1) + 1
     # the first quotient term 1 is the whole box; the least terms imply x2^-1
     with pytest.raises(NotDivisible, match="^no exact quotient$"):
         (x(1) + x(2) + 1).div_exact(x(1) + x(2))

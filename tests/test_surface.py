@@ -5,7 +5,6 @@ import pytest
 
 from clusterlab.mutation import matrix_rank
 from clusterlab.surface import (
-    ArcCrossing,
     LoopCrossing,
     SideRef,
     SurfaceError,
@@ -102,12 +101,14 @@ def test_builtin_genus_1_consistency():
 
 def test_genus2_paper_crossings_validate():
     T = builtin_genus2()
-    assert T.validates_arc(ArcCrossing((8, 9, 10, 2, 1, 10, 4, 6, 3, 8)))
-    assert T.validates_arc(ArcCrossing((7, 4, 9, 3, 5, 2, 1, 5, 6, 7)))
-    assert T.validates_arc(ArcCrossing((3, 6, 4, 10, 1, 5, 6, 7)))
-    assert T.validates_arc(ArcCrossing((8, 9, 10, 2)))
-    assert not T.validates_arc(ArcCrossing((8, 8)))
-    assert not T.validates_arc(ArcCrossing((1, 7)))
+    T.triangle_walk((8, 9, 10, 2, 1, 10, 4, 6, 3, 8))
+    T.triangle_walk((7, 4, 9, 3, 5, 2, 1, 5, 6, 7))
+    T.triangle_walk((3, 6, 4, 10, 1, 5, 6, 7))
+    T.triangle_walk((8, 9, 10, 2))
+    with pytest.raises(SurfaceError):
+        T.triangle_walk((8, 8))
+    with pytest.raises(SurfaceError):
+        T.triangle_walk((1, 7))
 
 
 def test_triangle_walk_start_and_errors():
@@ -184,13 +185,13 @@ def test_boundary_loop_lengths_and_validity():
     T1 = builtin_genus1()
     loop1 = T1.boundary_loop()
     assert len(loop1) == 8
-    assert T1.validates_loop(loop1)
+    T1.triangle_walk(loop1.cyclic_sequence, loop=True)
     assert loop1.cyclic_sequence == (1, 3, 4, 2, 1, 4, 3, 2)
 
     T2 = builtin_genus2()
     loop2 = T2.boundary_loop()
     assert len(loop2) == 20
-    assert T2.validates_loop(loop2)
+    T2.triangle_walk(loop2.cyclic_sequence, loop=True)
 
 
 def test_loop_canonical_rotation():
@@ -208,7 +209,7 @@ def test_repeat_count_below_one_is_a_surface_error(k):
 def test_annulus_fixture_validates():
     A = annulus_fixture()
     assert A.validate() == []
-    assert A.validates_loop(LoopCrossing((1, 2)))
+    A.triangle_walk((1, 2), loop=True)
 
 
 def test_json_roundtrip():
@@ -218,6 +219,9 @@ def test_json_roundtrip():
     for key, value in (("genus", 1.9), ("n_arcs", 4.7), ("n_boundary", True), ("n_marked", "1")):
         with pytest.raises(SurfaceError, match=f"{key} must be an int, not {value!r}"):
             Triangulation.from_json_dict({**data, key: value})
+    triangles = [["C1", "A2", "A3"]] + data["triangles"][1:]
+    with pytest.raises(SurfaceError, match=r"^cannot parse side 'C1'$"):
+        Triangulation.from_json_dict({**data, "triangles": triangles})
 
 
 def test_json_format_shape():

@@ -110,10 +110,21 @@ def test_chebyshev_bracelets(k):
     assert (r.name, r.status) == (f"chebyshev{k}", "pass"), r.detail
 
 
+@pytest.mark.parametrize("nx, where", [(2, "annulus"), (4, "genus-1 boundary")])
+def test_chebyshev_names_the_surface_that_fails(monkeypatch, nx, where):
+    real = verify.chebyshev
+    monkeypatch.setattr(verify, "chebyshev", lambda k, L: real(k, L) + (1 if L.nx == nx else 0))
+    r = check_chebyshev(2)
+    assert r.status == "fail"
+    assert r.detail.startswith(f"{where} bracelet T_2: nonzero difference")
+
+
 def test_fuzz_deterministic_reports():
     a = check_fuzz(trials=20, max_len=5, seed=42)
     b = check_fuzz(trials=20, max_len=5, seed=42)
     assert (a.status, a.detail) == (b.status, b.detail)
+    # one sequence per surface per pair of trials: the count run is reported
+    assert check_fuzz(trials=3, max_len=2).detail.startswith("2 sequences of length <= 2")
 
 
 def test_fuzz_fails_on_a_mixed_sign_c_vector(monkeypatch):
@@ -315,11 +326,11 @@ def test_all_fixture_crossings_validate():
 
     T1, T2 = builtin_genus1(), builtin_genus2()
     for seq in GENUS1_ARCS.values():
-        assert T1.validates_arc(ArcCrossing(seq))
+        T1.triangle_walk(seq)
     for seq in GENUS2_ARCS.values():
-        assert T2.validates_arc(ArcCrossing(seq))
-    assert T1.validates_loop(T1.boundary_loop())
-    assert T2.validates_loop(T2.boundary_loop())
+        T2.triangle_walk(seq)
+    T1.triangle_walk(T1.boundary_loop().cyclic_sequence, loop=True)
+    T2.triangle_walk(T2.boundary_loop().cyclic_sequence, loop=True)
 
 
 def test_specialize_trivial_on_expansion_positive():
