@@ -245,8 +245,6 @@ class LaurentPolynomial:
     def monomial(cls, nx, ny, coeff, x_exps=(), y_exps=()):
         x = tuple(x_exps) + (0,) * (nx - len(x_exps))
         y = tuple(y_exps) + (0,) * (ny - len(y_exps))
-        if len(x) != nx or len(y) != ny:
-            raise RankMismatch("exponent vector longer than rank")
         return cls(nx, ny, {x + y: coeff})
 
     @classmethod

@@ -46,7 +46,7 @@ def load_surface(spec):
         raise SurfaceError(f"cannot read surface {spec!r}: {exc.strerror}") from exc
     try:
         T = Triangulation.from_json(text)
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:  # json's JSONDecodeError, or a SurfaceError
         raise SurfaceError(
             f"malformed surface file {spec!r}: {type(exc).__name__}: {exc}"
         ) from exc

@@ -102,8 +102,6 @@ class ArcCrossing:
 
     def __post_init__(self):
         object.__setattr__(self, "sequence", tuple(self.sequence))
-        if not self.sequence:
-            raise SurfaceError("empty crossing sequence")
 
 
 @dataclass(frozen=True)
@@ -356,36 +354,25 @@ class Triangulation:
             f"invalid crossing sequence {crossings}: {last_err or 'no valid start triangle'}"
         )
 
-    def arc_walks(self, max_len, start=None, same_turn=False):
+    def arc_walks(self, max_len):
         """Yield (start triangle, crossings, triangle walk) for every crossing
-        sequence of length 1..max_len from `start` (default: every triangle),
-        in depth-first preorder: start triangles ascending, then each
-        triangle's arc sides in listed order, never recrossing the arc just
-        crossed.  `same_turn` keeps only the walks in which every triangle
-        turns the same way (see `turn`)."""
+        sequence of length 1..max_len, in depth-first preorder: start
+        triangles ascending, then each triangle's arc sides in listed order,
+        never recrossing the arc just crossed."""
         tris = self.triangles
-        if start is not None:
-            _check_ints((start,), "start triangle")
-            if not 0 <= start < len(tris):
-                raise SurfaceError(f"start triangle {start} out of range 0..{len(tris) - 1}")
 
-        def extend(seq, walk, last_turn):
+        def extend(seq, walk):
             if seq:
                 yield walk[0], seq, walk
             if len(seq) >= max_len:
                 return
-            tri = tris[walk[-1]]
-            for s in tri:
-                if not s.is_arc or seq and s.index == seq[-1]:
-                    continue
-                t = turn(tri, seq[-1], s.index)[0] if same_turn and seq else None
-                if last_turn and t != last_turn:
-                    continue
-                u = self.other_triangle(s.index, walk[-1])
-                yield from extend(seq + (s.index,), walk + [u], t)
+            for s in tris[walk[-1]]:
+                if s.is_arc and not (seq and s.index == seq[-1]):
+                    u = self.other_triangle(s.index, walk[-1])
+                    yield from extend(seq + (s.index,), walk + [u])
 
-        for t0 in range(len(tris)) if start is None else (start,):
-            yield from extend((), [t0], None)
+        for t0 in range(len(tris)):
+            yield from extend((), [t0])
 
     # -- the loop around the boundary ------------------------------------------
 
@@ -422,10 +409,15 @@ class Triangulation:
 
     @classmethod
     def from_json_dict(cls, data):
-        counts = {k: data[k] for k in ("genus", "n_arcs", "n_boundary", "n_marked")}
-        for k, v in counts.items():
-            _check_ints((v,), k)
-        return cls(**counts, triangles=data["triangles"])
+        keys = ("genus", "n_arcs", "n_boundary", "n_marked", "triangles")
+        if not isinstance(data, dict) or not set(keys) <= set(data):
+            raise SurfaceError(f"surface data must be an object with keys {', '.join(keys)}")
+        for k in keys[:-1]:
+            _check_ints((data[k],), k)
+        tris = data["triangles"]
+        if not isinstance(tris, list) or not all(isinstance(t, list) for t in tris):
+            raise SurfaceError("triangles must be a list of side lists")
+        return cls(**{k: data[k] for k in keys})
 
     @classmethod
     def from_json(cls, text):

@@ -8,7 +8,6 @@ polynomial difference; there are no tolerances anywhere.
 
 from __future__ import annotations
 
-import functools
 import random
 import time
 from dataclasses import dataclass
@@ -154,34 +153,30 @@ def _fixture_polys(g):
         ) from exc
 
 
-@functools.lru_cache(maxsize=None)
 def zigzag_v_arcs(g):
     """The two zigzag arcs based at the boundary triangle whose product
-    resolves against the boundary loop; at g = 2 this recovers the genus-2
-    fixture sequences.  Returns (T, V1 starting at arc 4g, V2 at 4g-1) with
-    the crossings anchored at the boundary triangle."""
+    resolves against the boundary loop, in closed form on the arcs d_i, a_i,
+    b_i of `builtin_genus(g)`; at g = 2 they are the genus-2 fixture V1
+    reversed and V2.  Returns (T, V1 starting at arc 4g, V2 at 4g-1) with
+    the crossings anchored at the boundary triangle, which `builtin_genus`
+    lists last.  The exhaustive search in the tests is the oracle."""
+    if g < 2:
+        raise CaseError("genus-g identity needs g >= 2")
     T = builtin_genus(g)
-    btri = next(
-        t for t, tri in enumerate(T.triangles) if any(not s.is_arc for s in tri)
-    )
-    length = 6 * g - 2
-    # One pass serves both searches: the boundary triangle holds exactly arcs
-    # 4g and 4g-1.  Glue directions alternate exactly when every triangle turns
-    # the same way.  The snake layout derives its glue directions from the same
-    # turn types, so checking them here compares the layout's turn rule with
-    # the search's turn pruning; the exhaustive search in the tests is the
-    # independent oracle.
-    found = {}
-    for _, seq, walk in T.arc_walks(length, start=btri, same_turn=True):
-        if len(seq) == length and walk[-1] == btri and seq[-1] == seq[0]:
-            dirs = build_snake(T, ArcCrossing(seq, start_triangle=btri)).glue_dirs
-            if all(dirs[i] != dirs[i + 1] for i in range(len(dirs) - 1)):
-                found.setdefault(seq[0], []).append(seq)
-    firsts = (4 * g, 4 * g - 1)
-    for first in firsts:
-        if first not in found:
-            raise CaseError(f"no zigzag arc of length {length} from arc {first}")
-    return (T, *(ArcCrossing(min(found[f]), start_triangle=btri) for f in firsts))
+    m = 2 * g - 1
+    a, b = (lambda i: 2 * g + i), (lambda i: 6 * g - 1 - i)
+    # both arcs cross every rung d_i = 2 + i and leave it through its
+    # a-ladder triangle when i is odd, through its b-ladder one when i is even
+    v1 = [b(m)]
+    for i in range(1, m):
+        v1 += [2 + i, a(i + 1) if i % 2 else b(m - i)]
+    v1 += [1, 2, *map(b, range(1, m + 1))]
+    v2 = [a(m)]
+    for i in range(m - 1, 0, -1):
+        v2 += [2 + i, a(i) if i % 2 else b(m + 1 - i)]
+    v2 += [2, 1, *map(a, range(1, m + 1))]
+    btri = len(T.triangles) - 1
+    return T, ArcCrossing(tuple(v1), btri), ArcCrossing(tuple(v2), btri)
 
 
 # -- cases --------------------------------------------------------------------
@@ -278,8 +273,6 @@ def check_genusg(g=3):
     solving, and checked to be a genuine y-monomial."""
 
     def body():
-        if g < 2:
-            raise CaseError("genus-g identity needs g >= 2")
         T, v1_arc, v2_arc = zigzag_v_arcs(g)
         n = T.n_arcs
         p = _polys(T, {"V1": v1_arc, "V2": v2_arc}, ("V1", "V2"))

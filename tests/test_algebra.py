@@ -54,6 +54,7 @@ def test_mul_identity_and_inverse():
     assert p * LP.one(2) == p
     xinv = LP.monomial(2, 2, 1, (-1, 0))
     assert x(1) * xinv == LP.one(2)
+    assert (p * 0).is_zero() and (0 * p).is_zero()
 
 
 def test_rank_mismatch_raises():
@@ -75,6 +76,9 @@ def test_rank_mismatch_raises():
     # a short key is an error even when its coefficients cancel
     with pytest.raises(RankMismatch, match=r"^exponent vector \(1,\) is not of length 4$"):
         LP(2, 2, {(1,): 0})
+    # monomial pads short vectors and leaves a long one to the constructor
+    with pytest.raises(RankMismatch, match=r"^exponent vector \(1, 2, 3, 0, 0\) is not of length 4$"):
+        LP.monomial(2, 2, 1, (1, 2, 3))
     with pytest.raises(RankMismatch, match=r"^exponent vector \(1, 0, 0\) is not of length 4$"):
         LP.from_json_dict({"nx": 2, "ny": 2, "terms": [
             {"x": [1], "y": [0, 0], "coeff": 1}, {"x": [1], "y": [0, 0], "coeff": -1}]})
@@ -162,6 +166,10 @@ def test_tropical_eval_trivial_and_errors():
         tropical_eval(y(1) - y(2), SemifieldSpec.tropical_identity(2))
     with pytest.raises(ValueError):
         tropical_eval(x(1), SemifieldSpec.tropical_identity(2))
+    with pytest.raises(ValueError, match="^tropical_eval needs a trivial or tropical semifield$"):
+        tropical_eval(y(1) + 1, SemifieldSpec.principal())
+    with pytest.raises(ValueError, match="^no y-images for semifield kind 'bogus'$"):
+        specialize(x(1) + y(1), SemifieldSpec("bogus"))
 
 
 def test_tropical_eval_general_assignment():

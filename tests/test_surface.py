@@ -4,7 +4,9 @@ import random
 import pytest
 
 from clusterlab.mutation import matrix_rank
+from clusterlab.snake import build_snake
 from clusterlab.surface import (
+    ArcCrossing,
     LoopCrossing,
     SideRef,
     SurfaceError,
@@ -125,6 +127,10 @@ def test_triangle_walk_start_and_errors():
     for loop in (False, True):
         with pytest.raises(SurfaceError, match="empty crossing sequence"):
             T.triangle_walk((), loop=loop)
+    with pytest.raises(SurfaceError, match="^empty crossing sequence$"):
+        build_snake(T, ArcCrossing(()))  # the walk is the one emptiness check
+    with pytest.raises(SurfaceError, match="^triangle 1 not adjacent to arc 3$"):
+        T.other_triangle(3, 1)
     # an arc with one slot has no triangle across it, on every walking path
     one_slot = Triangulation(genus=0, n_arcs=2, n_boundary=1, n_marked=1,
                              triangles=((arc(1), arc(2), boundary(1)),))
@@ -147,7 +153,7 @@ def test_turn_rejects_a_polygon_without_3_sides():
                             triangles=((arc(1), arc(2), arc(3)), (arc(1), arc(2)),
                                        (arc(3), boundary(1))))
     with pytest.raises(SurfaceError, match=r"^triangle \(A1, A2\) does not have 3 sides$"):
-        list(two_gon.arc_walks(3, same_turn=True))
+        build_snake(two_gon, ArcCrossing((1, 2), start_triangle=0))
     with pytest.raises(SurfaceError,
                        match=r"^triangle \(A1, A2, A3, A4\) does not have 3 sides$"):
         turn((arc(1), arc(2), arc(3), arc(4)), 3, 4)
@@ -165,8 +171,6 @@ def test_turn_rejects_a_polygon_without_3_sides():
         lambda T: T.triangle_walk((1, 2), start_triangle=1.0),
         lambda T: T.triangle_walk((1, 2), start_triangle="1"),
         lambda T: T.triangle_walk((1, 2), start_triangle=False),
-        lambda T: next(T.arc_walks(3, start=1.0)),
-        lambda T: next(T.arc_walks(3, start=True)),
         lambda T: SideRef("A", True),
         lambda T: SideRef("B", 1.5),
         lambda T: SideRef("A", "1"),
@@ -222,6 +226,18 @@ def test_json_roundtrip():
     triangles = [["C1", "A2", "A3"]] + data["triangles"][1:]
     with pytest.raises(SurfaceError, match=r"^cannot parse side 'C1'$"):
         Triangulation.from_json_dict({**data, "triangles": triangles})
+    # a shape other than an object of counts and side lists is a SurfaceError too
+    keys = "^surface data must be an object with keys genus, n_arcs, n_boundary, n_marked, triangles$"
+    for bad, text in (
+        ({**data, "triangles": [5]}, "^triangles must be a list of side lists$"),
+        ({**data, "triangles": 5}, "^triangles must be a list of side lists$"),
+        ({k: v for k, v in data.items() if k != "n_marked"}, keys),
+        (list(data.values()), keys),
+    ):
+        with pytest.raises(SurfaceError, match=text):
+            Triangulation.from_json_dict(bad)
+    with pytest.raises(SurfaceError, match=keys):
+        Triangulation.from_json("[]")
 
 
 def test_json_format_shape():
@@ -370,26 +386,3 @@ def test_arc_walks_genus2_preorder():
     assert len({(t0, seq) for t0, seq, _ in walks}) == 3634
     assert [(t0, seq) for t0, seq, _ in walks] == _preorder_walks(T, 8)
     assert all(walk == T.triangle_walk(seq, t0) for t0, seq, walk in walks)
-
-
-def test_arc_walks_same_turn_filters_by_turn_type():
-    T = builtin_genus2()
-
-    def one_turn(seq, walk):
-        turns = {turn(T.triangles[walk[j]], seq[j - 1], seq[j])[0] for j in range(1, len(seq))}
-        return len(turns) <= 1
-
-    same = list(T.arc_walks(8, same_turn=True))
-    assert len(same) == 244
-    assert same == [w for w in T.arc_walks(8) if one_turn(w[1], w[2])]
-
-
-def test_arc_walks_from_one_start_triangle():
-    T = builtin_genus2()
-    btri = next(t for t, tri in enumerate(T.triangles) if any(not s.is_arc for s in tri))
-    walks = list(T.arc_walks(6, start=btri))
-    assert walks == [w for w in T.arc_walks(6) if w[0] == btri]
-    assert {seq[0] for _, seq, _ in walks} == {7, 8}
-    for bad in (-1, len(T.triangles)):
-        with pytest.raises(SurfaceError):
-            next(T.arc_walks(6, start=bad))

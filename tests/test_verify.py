@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -20,7 +19,7 @@ from clusterlab.snake import (
     expand_band,
     trim_to_band,
 )
-from clusterlab.surface import ArcCrossing, builtin_genus, builtin_genus1
+from clusterlab.surface import ArcCrossing, builtin_genus, builtin_genus1, turn
 from clusterlab.verify import (
     GENUS1_ARCS,
     BangleSpec,
@@ -29,6 +28,7 @@ from clusterlab.verify import (
     check_chebyshev,
     check_eq1,
     check_fuzz,
+    check_genus2,
     check_genusg,
     run_cases,
     zigzag_v_arcs,
@@ -102,6 +102,8 @@ def test_genusg_reproduces_genus2():
 def test_genusg_below_genus_2_is_an_error():
     r = check_genusg(1)
     assert (r.status, r.detail) == ("error", "genus-g identity needs g >= 2")
+    with pytest.raises(CaseError, match="^genus-g identity needs g >= 2$"):
+        zigzag_v_arcs(1)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -157,6 +159,19 @@ def test_fuzz_fails_on_a_broken_seed(monkeypatch, name, fake, detail):
     r = check_fuzz(trials=2, max_len=3, seed=0)
     assert r.status == "fail"
     assert r.detail.startswith(detail)
+
+
+def test_genus2_fails_when_the_u_residual_loses_y1(monkeypatch):
+    # U2 + 1 in place of U2 adds U1, whose y-free term is not divisible by y1
+    fixture_polys = verify._fixture_polys
+
+    def perturbed(g):
+        T, polys = fixture_polys(g)
+        return T, {**polys, "U2": polys["U2"] + 1}
+
+    monkeypatch.setattr(verify, "_fixture_polys", perturbed)
+    r = check_genus2()
+    assert (r.status, r.detail) == ("fail", "U residual is not divisible by y1")
 
 
 def test_eq1_fails_on_a_perturbed_fixture(monkeypatch):
@@ -471,7 +486,24 @@ def test_separation_formula_tropical_semifield():
     assert (lhs2 - rhs2).is_zero()
 
 
-# -- the zigzag search -----------------------------------------------------------
+# -- the zigzag arcs ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("g", range(2, 9))
+def test_zigzag_arcs_are_closed_zigzags_from_the_boundary_triangle(g):
+    # what the search required of an arc, asked of the closed form
+    T, *arcs = zigzag_v_arcs(g)
+    btri = next(t for t, tri in enumerate(T.triangles) if any(not s.is_arc for s in tri))
+    for v, first in zip(arcs, (4 * g, 4 * g - 1)):
+        seq = v.sequence
+        walk = T.triangle_walk(seq, v.start_triangle)
+        assert len(seq) == 6 * g - 2 and seq[0] == seq[-1] == first
+        assert walk[0] == walk[-1] == btri
+        turns = {turn(T.triangles[walk[j]], seq[j - 1], seq[j])[0] for j in range(1, len(seq))}
+        assert len(turns) == 1
+        dirs = build_snake(T, v).glue_dirs
+        assert all(dirs[i] != dirs[i + 1] for i in range(len(dirs) - 1))
+    assert check_genusg(g).status == "pass"
 
 
 def _zigzag_v_arcs_exhaustive(g):
@@ -508,13 +540,6 @@ def _zigzag_v_arcs_exhaustive(g):
 @pytest.mark.parametrize("g", [2, 3])
 def test_zigzag_search_equals_exhaustive_search(g):
     assert zigzag_v_arcs(g) == _zigzag_v_arcs_exhaustive(g)
-
-
-def test_zigzag_search_without_a_zigzag_is_an_error(monkeypatch):
-    straight = SimpleNamespace(glue_dirs=("N", "N"))
-    monkeypatch.setattr(verify, "build_snake", lambda T, crossing: straight)
-    with pytest.raises(CaseError, match="no zigzag arc of length 10 from arc 8"):
-        zigzag_v_arcs.__wrapped__(2)
 
 
 # -- crashed cases ------------------------------------------------------------------
