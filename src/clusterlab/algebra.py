@@ -113,17 +113,19 @@ def _unit(i, n):
     return [0] * (i - 1) + [1] + [0] * (n - i)
 
 
-def _mul_terms(a, b, zero):
-    """Distributive product of two term maps {packed key: coeff}."""
+def _mul_terms(a, b, zero, out=None):
+    """Distributive product of two term maps {packed key: coeff}, added into
+    the term map `out` when one is given."""
     if len(a) < len(b):
         a, b = b, a
-    if len(b) == 1:
-        ((kb, cb),) = b.items()
-        d = kb - zero
-        if cb == 1:
-            return {ka + d: ca for ka, ca in a.items()}
-        return {ka + d: ca * cb for ka, ca in a.items()}
-    out = {}
+    if out is None:
+        if len(b) == 1:
+            ((kb, cb),) = b.items()
+            d = kb - zero
+            if cb == 1:
+                return {ka + d: ca for ka, ca in a.items()}
+            return {ka + d: ca * cb for ka, ca in a.items()}
+        out = {}
     get = out.get
     for kb, cb in b.items():
         d = kb - zero
@@ -175,13 +177,19 @@ def _field_hull(keys, zero):
     return lo, hi
 
 
-def _no_quotient_mod_prime(p, q, unpack):
-    """True when q(a, ..., a) = 0 and p(a, ..., a) != 0 mod _PRIME for some a
-    in 1.._PRIME - 1, for term maps p and q.  Sending every variable to a
-    nonzero a is a ring map into the field of _PRIME elements, so q then
-    does not divide p.  By Fermat a degree counts modulo _PRIME - 1, so no number
-    grows with the exponents."""
+def _no_quotient(p, q, unpack):
+    """True when sending every variable to one number a shows that q does
+    not divide p, for term maps p and q.  For a = 1 and a = -1 that is a ring
+    map into ZZ, so q(a) must divide p(a), and q(a) = 0 needs p(a) = 0.  For
+    a in 1.._PRIME - 1 it is a ring map into the field of _PRIME elements,
+    where q(a) = 0 needs p(a) = 0.  By Fermat a degree counts modulo
+    _PRIME - 1, which keeps its parity, so no number grows with the
+    exponents."""
     pd, qd = ([(sum(unpack(k)) % (_PRIME - 1), c) for k, c in f.items()] for f in (p, q))
+    for a in (1, -1):
+        pa, qa = (sum([c * a ** e for e, c in degs]) for degs in (pd, qd))
+        if pa % qa if qa else pa:
+            return True
 
     def at(degs, a):
         return sum(c * pow(a, e, _PRIME) for e, c in degs) % _PRIME
@@ -397,9 +405,10 @@ class LaurentPolynomial:
         quotient term's tests, least terms that do not divide within the box
         raise NotDivisible at once.  A product of polynomials with positive
         coefficients has more terms than either factor, so the quotient
-        rarely grows as large as self; when it first does,
-        `_no_quotient_mod_prime` runs once, and a division that would walk
-        far down the box before failing fails there.
+        rarely grows as large as self; when it first does, `_no_quotient`
+        runs once: it evaluates both at x = 1, x = -1 and x = a mod a prime
+        for every variable, and a division that would walk far down the box
+        before failing fails there.
         """
         if isinstance(other, int):
             other = LaurentPolynomial.const(self.nx, self.ny, other)
@@ -459,7 +468,7 @@ class LaurentPolynomial:
                         or (t_last - low) & (top - t_last) & zero != zero):
                     raise NotDivisible("no exact quotient")
             quot[t] = c
-            if len(quot) == len(self.terms) and _no_quotient_mod_prime(
+            if len(quot) == len(self.terms) and _no_quotient(
                 self.terms, other.terms, codec.unpack
             ):
                 raise NotDivisible("no exact quotient")

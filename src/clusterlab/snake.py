@@ -32,34 +32,39 @@ contexts first drawn by a build join the table only once the graph passes
 its checks.  The 25,152 tiles of the genus-2 arcs of length at most 8 have
 278 contexts.
 
-Matchings.  The expansion is a transfer program with one step per tile that
-reads only the layout: labels, `hor_is_a`, diagonals, glue directions and
-the wrap.  Its state is the covered bits of the corners of the tile's
-outgoing glue side, its value a map {packed term key: coefficient} held
-with a pending key offset that every key is still to be shifted by.  A tile
-is entered on S if the previous tile left N and on W if it left E, and adds
-its non-incoming sides: a table made once per (incoming, outgoing) pair
-lists the side subsets that cover every corner off the outgoing side once,
-and a move by a subset adds the x-field units of its arc labels to the
-pending offset without copying the map.  Where two moves reach one state,
-the smaller map is shifted by the difference of the two offsets and added
-into the larger; a map that two states may hold is copied before it is
-written.  The final map is shifted once.  A snake's last tile leaves E and
-covers both of its corners.  A band is cut open at its wrap: its first tile
-is entered on W, its last tile leaves E, these two copies of the wrap edge
-are separate sides, and the good matchings are the perfect matchings of the
-cut graph that take at least one copy (Musiker, Schiffler and Williams,
-arXiv:1110.4364).  A state bit records a copy, and one wrap label comes off
-every term: a good matching holds the wrap edge exactly when it takes both
-copies.  This is the snake-graph form of the 2x2 matrix formulae of
-Musiker and Williams (arXiv:1108.3382).  Heights follow a ray rule.  Tiles
-step only north or east, so a ray leaving tile j through f_j, its first
-side in S, E, N, W order that belongs to tile j alone, meets no other tile,
-and tile j lies inside P - P_min, the symmetric difference with the minimal
-matching, exactly when f_j is in exactly one of P and P_min; so every tile
-height is 0 or 1.  P_min has a closed form: a side of one tile only lies in
-it exactly when it carries s23 or s41 (E/W when `hor_is_a`, else S/N), and
-no other edge does.
+Matchings.  The expansion is a transfer program with one step per tile of a
+snake or of one drawing period of a band, and it reads only the layout:
+labels, `hor_is_a`, diagonals, glue directions and the wrap.  Its state is
+the covered bits of the corners of the tile's outgoing glue side, its value
+a map {packed term key: coefficient} held with a pending key offset that
+every key is still to be shifted by.  A tile is entered on S if the previous
+tile left N and on W if it left E, and adds its non-incoming sides: a table
+made once per (incoming, outgoing) pair lists the side subsets that cover
+every corner off the outgoing side once, and a move by a subset adds the
+x-field units of its arc labels to the pending offset without copying the
+map.  Where two moves reach one state, the smaller map is shifted by the
+difference of the two offsets and added into the larger; a map that two
+states may hold is copied before it is written.  A snake's final map is
+shifted once, and its last tile leaves E and covers both of its corners.  A
+band is cut open at its wrap: its first tile is entered on W, its last tile
+leaves E, these two copies of the wrap edge are separate sides, and the good
+matchings are the perfect matchings of the cut graph that take at least one
+copy (Musiker, Schiffler and Williams, arXiv:1110.4364).  A state bit
+records a copy, and one wrap label comes off every term: a good matching
+holds the wrap edge exactly when it takes both copies.  A band whose tiles
+repeat with period p, such as a k-fold loop, steps through one period only:
+run from each corner state of its incoming side, the period's steps give its
+2x2 transfer matrix A over term maps, and each wrap branch goes through
+d/p - 1 products with A before it is closed at the wrap.  This is the
+snake-graph form of the 2x2 matrix formulae of Musiker and Williams
+(arXiv:1108.3382).  Heights follow a ray rule.  Tiles step only north or
+east, so a ray leaving tile j through f_j, its first side in S, E, N, W
+order that belongs to tile j alone, meets no other tile, and tile j lies
+inside P - P_min, the symmetric difference with the minimal matching,
+exactly when f_j is in exactly one of P and P_min; so every tile height is 0
+or 1.  P_min has a closed form: a side of one tile only lies in it exactly
+when it carries s23 or s41 (E/W when `hor_is_a`, else S/N), and no other
+edge does.
 
 Flip enumeration is the oracle.  `enumerate_masks` lists all perfect
 matchings of a snake graph, and the good matchings of a band graph, as the
@@ -85,7 +90,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 
-from .algebra import LaurentPolynomial, term_codec
+from .algebra import LaurentPolynomial, _mul_terms, term_codec
 from .errors import ClusterlabError
 from .surface import LoopCrossing, SurfaceError, sides_after, turn
 
@@ -575,44 +580,16 @@ def _step(tile, ny, band_last, unit):
     return moves, shift, w_off
 
 
-def _expansion(G, coeffs):
-    """Transfer program over the tiles, a band cut open at its wrap; see
-    "Matchings" in the module docstring.  Each step is kept on its tile.
-
-    A state is (pending key offset, term map, shared).  A move adds its key
-    offset to the pending one and passes the map on, so a state with two
-    moves leaves one map to two states; such a map stays marked shared on
-    every later step, since either holder may still be merged into.  A merge
-    adds the smaller map, shifted by the difference of the two offsets, into
-    the larger, which is copied first when it is shared."""
-    if coeffs not in ("principal", "trivial"):
-        raise SnakeError(f"coeffs must be 'principal' or 'trivial', not {coeffs!r}")
-    n = G.n_arcs
-    ny = n if coeffs == "principal" else 0
-    codec = term_codec(n + ny)  # fields x1..xn, then y1..yn
-    band, d = G.wrap is not None, len(G.tiles)
-    steps = []
-    for j, tile in enumerate(G.tiles):
-        band_last = band and j == d - 1
-        k = 2 * (ny > 0) + band_last
-        step = tile.steps[k]
-        if step is None:
-            step = tile.steps[k] = _step(tile, ny, band_last, codec.units)
-        steps.append(step)
-    start = codec.zero + sum([step[1] for step in steps])
-
-    # the first W copy of a band's wrap is taken (state 7) or not (0)
-    if band:
-        states = {0: (-steps[0][2], {start: 1}, False), 7: (0, {start: 1}, False)}
-    else:
-        states = {0: (0, {start: 1}, False)}
+def _run(states, steps):
+    """Run the tile program over `steps` from `states`; see `_expansion`.
+    A move keeps bits 2 and 3 of its state."""
     for moves, _, _ in steps:
         nxt = {}
         for s, (base, terms, shared) in states.items():
             out = moves[s & 3]
             shared = shared or len(out) > 1  # kept on every later step too
             for off, t in out:
-                t |= s & 4
+                t |= s & 12
                 o, m, sh = base + off, terms, shared
                 if t in nxt:
                     o2, m2, sh2 = nxt[t]
@@ -626,10 +603,90 @@ def _expansion(G, coeffs):
                         m[key] = get(key, 0) + c
                 nxt[t] = (o, m, sh)
         states = nxt
-    # Every tile height is 0 or 1, and a snake has 3d + 1 edges, a band 3d.
-    base, terms, _ = states.get(7 if band else 3, (0, {}, False))
-    terms = {k + base: c for k, c in terms.items()}
-    return LaurentPolynomial.from_packed(n, ny, terms, 3 * d + (not band))
+    return states
+
+
+def _contract(v, M, t, zero, out=None):
+    """out plus the sum over corner states s of v[s] * M[t | 8 if s else t],
+    with no pending offset, or None when it has no summand: v maps a corner
+    state to (pending offset, terms), M is the output of a period run, and
+    each pending offset is folded into the `zero` of the product."""
+    for s, (o, m) in v.items():
+        entry = M.get(t | 8 if s else t)
+        if entry is not None:
+            out = _mul_terms(m, entry[1], zero - o - entry[0], out)
+    return out
+
+
+def _expansion(G, coeffs):
+    """Transfer program over the tiles, a band cut open at its wrap; see
+    "Matchings" in the module docstring.  Each step is kept on its tile.
+
+    A state is (pending key offset, term map, shared).  A move adds its key
+    offset to the pending one and passes the map on, so a state with two
+    moves leaves one map to two states; such a map stays marked shared on
+    every later step, since either holder may still be merged into.  A merge
+    adds the smaller map, shifted by the difference of the two offsets, into
+    the larger, which is copied first when it is shared.
+
+    A band of d tiles first finds its drawing period p, the least divisor of
+    d with tiles[j] is tiles[j - p] for every j >= p: tiles are shared per
+    context, so equal contexts are one object.  The first p - 1 tiles of a
+    period run once from corner state 0 and from corner state 3, which bit 3
+    tags.  The last tile then runs from those maps, which it only reads: as
+    an inner tile, which gives the period's transfer matrix A (when p < d),
+    and as the band's last tile, which gives L and sets bit 2 when it takes
+    the E copy of the wrap.  The two wrap branches are row vectors over the
+    corner states: the W copy taken (corner state 3, no offset) or not
+    (corner state 0, less the W label).  Each goes through d/p - 1 products
+    with A (`_contract`, which folds the pending offsets into the products)
+    and is then contracted with L into state 7: the first branch with L's
+    states 3 and 7, and the second with L's state 7, the E copy taken.  A
+    band with p = d has an empty chain."""
+    if coeffs not in ("principal", "trivial"):
+        raise SnakeError(f"coeffs must be 'principal' or 'trivial', not {coeffs!r}")
+    n = G.n_arcs
+    ny = n if coeffs == "principal" else 0
+    codec = term_codec(n + ny)  # fields x1..xn, then y1..yn
+    tiles, d, band = G.tiles, len(G.tiles), G.wrap is not None
+
+    p = d
+    if band:
+        ids = list(map(id, tiles))
+        p = next(p for p in range(1, d + 1) if not d % p and ids[p:] == ids[:d - p])
+    # a snake's steps, or one period's and then its last tile's as an inner tile
+    steps = []
+    for j, tile in enumerate(tiles[:p] + tiles[p - 1:p] if band else tiles):
+        band_last = band and j == p - 1
+        k = 2 * (ny > 0) + band_last
+        step = tile.steps[k]
+        if step is None:
+            step = tile.steps[k] = _step(tile, ny, band_last, codec.units)
+        steps.append(step)
+    start = codec.zero + d // p * sum([step[1] for step in steps[:p]])
+    if not band:
+        base, terms, _ = _run({0: (0, {start: 1}, False)}, steps).get(3, (0, {}, False))
+        terms = {k + base: c for k, c in terms.items()}
+        # Every tile height is 0 or 1, and a snake has 3d + 1 edges.
+        return LaurentPolynomial.from_packed(n, ny, terms, 3 * d + 1)
+
+    zero = codec.zero
+    head = _run({0: (0, {zero: 1}, False), 11: (0, {zero: 1}, False)}, steps[:p - 1])
+    # the A run and then the L run start from these maps: neither may write
+    head = {s: (o, m, True) for s, (o, m, _) in head.items()}
+    A = _run(head, steps[p:]) if p < d else None
+    L = _run(head, steps[p - 1:p])
+    # The first W copy of the wrap is taken (corner state 3) or not (0).  An
+    # end in state 7 after the W copy is an end in L's state 3 or 7; after
+    # no W copy it must take the E copy, state 7.
+    terms = None
+    for v, ends in (({3: (0, {start: 1})}, (3, 7)), ({0: (-steps[0][2], {start: 1})}, (7,))):
+        for _ in range(d // p - 1):
+            v = {t: (0, m) for t in (0, 3) if (m := _contract(v, A, t, zero))}
+        for t in ends:
+            terms = _contract(v, L, t, zero, terms)
+    # Every tile height is 0 or 1, and a band has 3d edges.
+    return LaurentPolynomial.from_packed(n, ny, terms or {}, 3 * d)
 
 
 __all__ = [

@@ -138,6 +138,14 @@ def test_div_exact_failure():
             (x(1) ** K + 2).div_exact(x(1) - 2)
     # the same test passes an exact quotient as large as its dividend
     assert (x(1) ** 2 - 1).div_exact(x(1) - 1) == x(1) + 1
+    # x1^2 + x1 + 1 has no root mod 101, but at x1 = 1 it is 3, which does
+    # not divide 4: reported before the walk down the quotient box
+    for K in (1 << 20, 1 << 30):
+        with pytest.raises(NotDivisible, match="^no exact quotient$"):
+            (x(1) ** K + 3).div_exact(x(1) ** 2 + x(1) + 1)
+    # exact quotients with a root of the divisor at x1 = 1 and at x1 = -1
+    assert (x(1) ** 3 - 1).div_exact(x(1) - 1) == x(1) ** 2 + x(1) + 1
+    assert (x(1) ** 2 - 1).div_exact(x(1) + 1) == x(1) - 1
     # the first quotient term 1 is the whole box; the least terms imply x2^-1
     with pytest.raises(NotDivisible, match="^no exact quotient$"):
         (x(1) + x(2) + 1).div_exact(x(1) + x(2))

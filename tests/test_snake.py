@@ -424,12 +424,13 @@ def test_expansion_equals_flip_enumeration():
             if len(seq) >= 3 and seq[0] == seq[-1]:
                 graphs.extend(B for B in [_trimmed(S)] if B is not None)
     # boundary bracelets whose transfer states merge maps that two states
-    # hold; too large for the brute-force tests that share `fixture_bands`
-    for g, k in ((2, 2), (2, 3), (3, 2)):
+    # hold, each expanded through its drawing period; too large for the
+    # brute-force tests that share `fixture_bands`
+    for g, k in ((1, 4), (2, 2), (2, 3), (3, 2)):
         T = builtin_genus(g)
         graphs.append(build_band(T, T.boundary_loop().repeated(k)))
-    # 10 fixture bands, 270 + 1006 snakes, 36 trimmed bands and 3 bracelets
-    assert (len(graphs), sum(G.wrap is not None for G in graphs)) == (1325, 49)
+    # 10 fixture bands, 270 + 1006 snakes, 36 trimmed bands and 4 bracelets
+    assert (len(graphs), sum(G.wrap is not None for G in graphs)) == (1326, 50)
     for G in graphs:
         run = expand if G.wrap is None else expand_band
         for coeffs in ("principal", "trivial"):
@@ -450,14 +451,34 @@ def test_annulus_good_matchings_are_the_cut_rule(k, good, perfect):
         assert len(all_matchings_bruteforce(B)) == perfect
 
 
-@pytest.mark.parametrize("k, matchings, terms", [(5, 55449, 537), (6, 492802, 969)])
-def test_large_genus1_bracelets_are_chebyshev(k, matchings, terms):
-    T = builtin_genus1()
+@pytest.mark.parametrize(
+    "g, k, matchings, terms",
+    [(1, 5, 55449, 537), (1, 6, 492802, 969), (2, 4, 192719, 8173), (3, 3, 35838, 5984)],
+)
+def test_large_bracelets_are_chebyshev(g, k, matchings, terms):
+    T = builtin_genus(g)
     loop = T.boundary_loop()
     L = expand_band(build_band(T, loop), "trivial")
     Lk = expand_band(build_band(T, loop.repeated(k)), "trivial")
     assert (sum(Lk.terms.values()), len(Lk.terms)) == (matchings, terms)
     assert Lk == chebyshev(k, L)
+
+
+@pytest.mark.parametrize("coeffs", ["principal", "trivial"])
+def test_bracelet_expansion_writes_no_shared_map(coeffs):
+    # the period runs of a bracelet start from shared maps, and every tile's
+    # steps are kept for the next expansion: expanding the bracelet again,
+    # and its single loop before and after it, gives the same polynomials
+    T = builtin_genus(3)
+    loop = T.boundary_loop()
+    single = expand_band(build_band(T, loop), coeffs)
+    bracelet = build_band(T, loop.repeated(2))
+    first = expand_band(bracelet, coeffs)
+    assert expand_band(bracelet, coeffs) == first
+    assert expand_band(build_band(T, loop), coeffs) == single
+    assert len(first.terms) == 543
+    if coeffs == "trivial":
+        assert first == chebyshev(2, single)
 
 
 def test_expansion_equals_oracles_on_random_graphs():
