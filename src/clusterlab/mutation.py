@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from operator import mul, neg
 
@@ -36,6 +35,8 @@ class MutationError(ClusterlabError):
 
 def matrix_rank(B):
     """Rank over the rationals, by Gaussian elimination over Fraction."""
+    from fractions import Fraction  # imported here: nothing else needs it at start-up
+
     M = [[Fraction(x) for x in row] for row in B]
     rows = len(M)
     cols = len(M[0]) if rows else 0

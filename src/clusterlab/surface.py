@@ -446,7 +446,7 @@ def builtin_genus(g):
     (1, 2, 4), (3, 4, B); for g = 2 it reproduces the triangulation forced
     by the crossing sequences in the genus-2 identity checks.  The
     orientation was validated against the Laurent-polynomial identities for
-    g = 1, 2 and the derived coefficient monomial for higher genus.
+    g = 1 and, in closed form, for g >= 2 (`verify.check_genusg`).
     """
     _check_ints((g,), "genus")
     if g < 1:

@@ -12,7 +12,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .algebra import LaurentPolynomial, NotDivisible, chebyshev
+from .algebra import LaurentPolynomial, chebyshev
 from .errors import ClusterlabError
 from .mutation import initial_seed, mutate, mutate_seq
 from .snake import build_band, build_snake, expand, expand_band, trim_to_band
@@ -112,22 +112,14 @@ GENUS2_ARCS = {
     "V2": (7, 4, 9, 3, 5, 2, 1, 5, 6, 7),
     "U1": (3, 6, 4, 10, 1, 5, 6, 7),
     "U2": (8, 9, 10, 2),
-    # derived fixtures: the unique arcs completing the U-identity
     "W1": (5, 6, 7, 8, 3, 6, 4, 10),
     "W2": (10, 4, 6, 3, 9, 10, 2, 5, 6, 7),
     "W3": (10, 4, 6, 3),
 }
 
-# the genus-2 coefficient monomial Y of the V-identity, as (i, exponent of y_i)
-GENUS2_Y = ((1, 1), (2, 1), (3, 1), (4, 1), (5, 2), (6, 1), (7, 1), (9, 1))
-
 GENUS2_MUTATION_SEQUENCES = {"V1": (8, 9, 10, 2, 1, 9, 4, 6, 3), "V2": (7, 6, 5, 1, 2, 6, 3, 9, 4)}
 
 ANNULUS_LOOP = (1, 2)
-
-
-# genus -> (fixture arcs, the arcs whose trimmed bands are X1, X2, ...)
-_FIXTURES = {1: (GENUS1_ARCS, ("V1",)), 2: (GENUS2_ARCS, ("V1", "V2"))}
 
 
 def _polys(T, arcs, trimmed):
@@ -141,15 +133,15 @@ def _polys(T, arcs, trimmed):
     return polys
 
 
-def _fixture_polys(g):
-    """The genus-g surface and `_polys` of its fixture arcs."""
-    T = builtin_genus(g)
-    arcs, trimmed = _FIXTURES[g]
+def _genus1_polys():
+    """The genus-1 surface and `_polys` of its fixture arcs, with X1 the
+    trimmed band of V1."""
+    T = builtin_genus1()
     try:
-        return T, _polys(T, {k: ArcCrossing(v) for k, v in arcs.items()}, trimmed)
+        return T, _polys(T, {k: ArcCrossing(v) for k, v in GENUS1_ARCS.items()}, ("V1",))
     except Exception as exc:
         raise CaseError(
-            f"genus-{g} fixture construction failed: {type(exc).__name__}: {exc}"
+            f"genus-1 fixture construction failed: {type(exc).__name__}: {exc}"
         ) from exc
 
 
@@ -179,6 +171,30 @@ def zigzag_v_arcs(g):
     return T, ArcCrossing(tuple(v1), btri), ArcCrossing(tuple(v2), btri)
 
 
+def zigzag_arcs(g):
+    """The seven arcs of the genus-g V- and U-identities, as (T, {name:
+    ArcCrossing}), cut from the zigzag arcs at their crossings of arc 1.
+    With F = V1 reversed, i = F.index(1), j = V2.index(1), mid = F[i+1:-1]
+    and tail = V2[j+1:]: U2 = F[:i], U1 = mid reversed + V2[j:],
+    W1 = tail + F[0] + mid reversed, W2 = mid + F[1:i] + tail, W3 = mid.
+    At g = 2 the sequences are `GENUS2_ARCS`.  Each U and W sequence has
+    one valid start triangle, so it is given none."""
+    T, v1, v2 = zigzag_v_arcs(g)
+    F, V2 = v1.sequence[::-1], v2.sequence
+    i, j = F.index(1), V2.index(1)
+    mid, tail = F[i + 1 : -1], V2[j + 1 :]
+    pieces = {
+        "U1": mid[::-1] + V2[j:],
+        "U2": F[:i],
+        "W1": tail + F[:1] + mid[::-1],
+        "W2": mid + F[1:i] + tail,
+        "W3": mid,
+    }
+    # reversed, V1 starts where it ended: in the boundary triangle
+    arcs = {"V1": ArcCrossing(F, v1.start_triangle), "V2": v2}
+    return T, arcs | {k: ArcCrossing(s) for k, s in pieces.items()}
+
+
 # -- cases --------------------------------------------------------------------
 
 
@@ -187,7 +203,7 @@ def check_eq1():
     with principal coefficients and under the trivial specialization."""
 
     def body():
-        T, p = _fixture_polys(1)
+        T, p = _genus1_polys()
         n = T.n_arcs
         rhs = p["L"] + _y(n, (3, 1)) * (
             (_y(n, (4, 1)) * p["X1"] + _x(3, n))
@@ -205,7 +221,7 @@ def check_eq2():
     """U1 U2 = y1 W1 + x3 + y4 X1 + y1y2y3y4 x4 + y1y3 x1x2 on genus 1."""
 
     def body():
-        T, p = _fixture_polys(1)
+        T, p = _genus1_polys()
         n = T.n_arcs
         rhs = (
             _y(n, (1, 1)) * p["W1"]
@@ -222,81 +238,57 @@ def check_eq2():
     return _run("eq2", body)
 
 
-def check_genus2():
-    """The genus-2 V- and U-identities, with the W arcs from the derived
-    fixtures, plus the y1-divisibility of the U residual."""
-
-    def body():
-        T, p = _fixture_polys(2)
-        n = T.n_arcs
-        Y = _y(n, *GENUS2_Y)
-        rhs_v = p["L"] + _y(n, (7, 1)) * (
-            (_y(n, (8, 1)) * p["X1"] + _x(7, n)) * (p["X2"] + Y * _x(8, n))
-        )
-        _assert_zero(p["V1"] * p["V2"] - rhs_v, "genus-2 V-identity")
-
-        residual = p["U1"] * p["U2"] - _x(7, n) - _y(n, (8, 1)) * p["X1"]
-        if not all(e[n] >= 1 for e, _ in residual.exponent_items()):
-            raise _IdentityFailure("U residual is not divisible by y1")
-
-        rhs_u = (
-            _y(n, (1, 1)) * p["W1"]
-            + _x(7, n)
-            + _y(n, (8, 1)) * p["X1"]
-            + _y(n, (1, 1), (8, 1)) * p["W2"]
-            + _y(n, (1, 1), (5, 1), (6, 1), (7, 1)) * p["W3"] * _x(1, n)
-        )
-        _assert_zero(p["U1"] * p["U2"] - rhs_u, "genus-2 U-identity")
-        return "V- and U-identities exact; U residual divisible by y1"
-
-    return _run("genus2", body)
-
-
 def check_mutation_oracle():
     """mutate_seq reproduces the snake expansions of the genus-2 fixture
     arcs, exactly."""
 
     def body():
-        T, p = _fixture_polys(2)
+        T = builtin_genus2()
         s0 = initial_seed(T.exchange_matrix())
         for name in ("V1", "V2"):
             seq = GENUS2_MUTATION_SEQUENCES[name]
             got = mutate_seq(s0, seq).cluster[seq[-1] - 1]
-            _assert_zero(got - p[name], f"mutation oracle {name}")
+            want = expand(build_snake(T, ArcCrossing(GENUS2_ARCS[name])))
+            _assert_zero(got - want, f"mutation oracle {name}")
         return "mutate_seq(8,9,10,2,1,9,4,6,3) = V1 and mutate_seq(7,6,5,1,2,6,3,9,4) = V2"
 
     return _run("mutation_oracle", body)
 
 
 def check_genusg(g=3):
-    """The genus-g V-identity with the coefficient monomial Y derived by
-    solving, and checked to be a genuine y-monomial."""
+    """The genus-g V- and U-identities on the arcs of `zigzag_arcs(g)`, with
+    a = 4g-1, a' = 4g and X1, X2 the trimmed bands of V1, V2:
+
+        V1 V2 = L + y_a (y_a' X1 + x_a)(X2 + Y x_a'),
+        U1 U2 = y1 W1 + x_a + y_a' X1 + y1 y_a' W2 + y1 (y_2g+1 ... y_a) x1 W3,
+
+    where Y = (y1 ... y_a) (odd y_j, 2g+1 <= j <= 4g-3) (odd y_j,
+    4g+1 <= j <= 6g-3).  Also checks that the U residual U1 U2 - x_a - y_a' X1
+    is divisible by y1.  The U-identity writes X1 through arcs and cluster
+    variables; X2 has no such identity here."""
 
     def body():
-        T, v1_arc, v2_arc = zigzag_v_arcs(g)
+        T, arcs = zigzag_arcs(g)
         n = T.n_arcs
-        p = _polys(T, {"V1": v1_arc, "V2": v2_arc}, ("V1", "V2"))
+        p = _polys(T, arcs, ("V1", "V2"))
         a, ap = 4 * g - 1, 4 * g
+        odd = (*range(2 * g + 1, a - 1, 2), *range(ap + 1, 6 * g - 2, 2))
+        Y = _y(n, *((i, 1) for i in (*range(1, ap), *odd)))
+        rhs_v = p["L"] + _y(n, (a, 1)) * (
+            (_y(n, (ap, 1)) * p["X1"] + _x(a, n)) * (p["X2"] + Y * _x(ap, n))
+        )
+        _assert_zero(p["V1"] * p["V2"] - rhs_v, f"genus-{g} V-identity")
 
-        def solve(step, f, d):
-            # a division that is not exact leaves no Y that makes the identity hold
-            try:
-                return f.div_exact(d)
-            except NotDivisible as exc:
-                raise _IdentityFailure(f"deriving Y: {step} is not exact: {exc}") from exc
-
-        divisor = _y(n, (ap, 1)) * p["X1"] + _x(a, n)
-        Q = solve(f"Q = (V1*V2 - L) / (y{ap}*X1 + x{a})", p["V1"] * p["V2"] - p["L"], divisor)
-        R = solve(f"R = Q / y{a}", Q, _y(n, (a, 1)))
-        Y = solve(f"(R - X2) / x{ap}", R - p["X2"], _x(ap, n))
-        if not Y.is_monomial():
-            raise _IdentityFailure(f"derived Y is not a monomial: {Y.serialize()}")
-        ((key, coeff),) = Y.exponent_items()
-        if coeff != 1 or any(e != 0 for e in key[:n]) or any(e < 0 for e in key[n:]):
-            raise _IdentityFailure(f"derived Y is not a y-monomial: {Y.serialize()}")
-        if g == 2:
-            _assert_zero(Y - _y(n, *GENUS2_Y), "genus-2 consistency of derived Y")
-        return f"V-identity exact with Y = {Y.serialize()}"
+        residual = p["U1"] * p["U2"] - _x(a, n) - _y(n, (ap, 1)) * p["X1"]
+        if not all(e[n] >= 1 for e, _ in residual.exponent_items()):
+            raise _IdentityFailure("U residual is not divisible by y1")
+        rhs_u = _y(n, (1, 1)) * (
+            p["W1"]
+            + _y(n, (ap, 1)) * p["W2"]
+            + _y(n, *((i, 1) for i in range(2 * g + 1, ap))) * _x(1, n) * p["W3"]
+        )
+        _assert_zero(residual - rhs_u, f"genus-{g} U-identity")
+        return f"V- and U-identities exact with Y = {Y.serialize()}; U residual divisible by y1"
 
     return _run(f"genus{g}", body)
 
@@ -371,7 +363,7 @@ def bangle_product(T, spec, coeffs="principal"):
 CASES = {
     "eq1": check_eq1,
     "eq2": check_eq2,
-    "genus2": check_genus2,
+    "genus2": lambda: check_genusg(2),
     "mutation_oracle": check_mutation_oracle,
     "genus3": lambda: check_genusg(3),
     "chebyshev": check_chebyshev,
@@ -401,13 +393,13 @@ __all__ = [
     "BangleSpec",
     "check_eq1",
     "check_eq2",
-    "check_genus2",
     "check_mutation_oracle",
     "check_genusg",
     "check_chebyshev",
     "check_fuzz",
     "bangle_product",
     "zigzag_v_arcs",
+    "zigzag_arcs",
     "run_cases",
     "CASES",
     "GENUS1_ARCS",

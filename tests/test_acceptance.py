@@ -30,7 +30,6 @@ from clusterlab.verify import (
     GENUS2_ARCS,
     check_eq1,
     check_eq2,
-    check_genus2,
     check_genusg,
 )
 
@@ -95,10 +94,10 @@ def test_criterion_3_trivial_specializations():
 
 def test_criterion_4_genus2_identities():
     t0 = time.perf_counter()
-    r = check_genus2()
+    r = check_genusg(2)
     _report(
         4,
-        "genus-2 V-identity and U-identity (derived W fixtures) exact",
+        "genus-2 V-identity and U-identity (closed-form W arcs) exact",
         r.status == "pass",
         time.perf_counter() - t0,
         60.0,
@@ -122,7 +121,7 @@ def test_criterion_6_genus3_identity():
     t0 = time.perf_counter()
     r = check_genusg(3)
     ok = r.status == "pass" and "Y = y" in r.detail
-    _report(6, f"genus-3 V-identity with derived monomial ({r.detail})", ok, time.perf_counter() - t0, 300.0)
+    _report(6, f"genus-3 V- and U-identities with closed-form monomial ({r.detail})", ok, time.perf_counter() - t0, 300.0)
 
 
 @pytest.mark.parametrize("g", [4, 5, 6])
@@ -130,7 +129,7 @@ def test_criterion_6_genusg_identity_scales(g):
     t0 = time.perf_counter()
     r = check_genusg(g)
     ok = r.status == "pass" and "Y = y" in r.detail
-    _report(6, f"genus-{g} V-identity with derived monomial", ok, time.perf_counter() - t0, 5.0)
+    _report(6, f"genus-{g} V- and U-identities with closed-form monomial", ok, time.perf_counter() - t0, 5.0)
 
 
 def test_criterion_7_annulus_closed_form():

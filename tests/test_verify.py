@@ -19,20 +19,24 @@ from clusterlab.snake import (
     expand_band,
     trim_to_band,
 )
-from clusterlab.surface import ArcCrossing, builtin_genus, builtin_genus1, turn
+from clusterlab.surface import ArcCrossing, SurfaceError, builtin_genus, builtin_genus1, turn
 from clusterlab.verify import (
     GENUS1_ARCS,
+    GENUS2_ARCS,
     BangleSpec,
     CaseError,
     bangle_product,
     check_chebyshev,
     check_eq1,
     check_fuzz,
-    check_genus2,
     check_genusg,
     run_cases,
+    zigzag_arcs,
     zigzag_v_arcs,
 )
+
+# the genus-2 coefficient monomial Y of the V-identity, as (i, exponent of y_i)
+GENUS2_Y = ((1, 1), (2, 1), (3, 1), (4, 1), (5, 2), (6, 1), (7, 1), (9, 1))
 
 
 def test_all_cases_pass():
@@ -94,9 +98,18 @@ def test_eq2_negative_control_dropped_x3():
 
 
 def test_genusg_reproduces_genus2():
+    # the closed forms at g = 2 are the genus-2 fixture arcs and monomial
+    T, arcs = zigzag_arcs(2)
+    assert {k: v.sequence for k, v in arcs.items()} == GENUS2_ARCS
     r = check_genusg(2)
     assert r.status == "pass"
-    assert "y5^2" in r.detail  # the genus-2 coefficient monomial, found by solving
+    assert "y5^2" in r.detail
+    n = T.n_arcs
+    e = [0] * n
+    for i, k in GENUS2_Y:
+        e[i - 1] += k
+    Y = r.detail.split("Y = ")[1].split(";")[0]
+    assert LP.parse(Y, n) == LP.y_monomial(n, n, e)
 
 
 def test_genusg_below_genus_2_is_an_error():
@@ -161,79 +174,53 @@ def test_fuzz_fails_on_a_broken_seed(monkeypatch, name, fake, detail):
     assert r.detail.startswith(detail)
 
 
+def _perturb_polys(monkeypatch, name, change):
+    """Make `verify._polys` return change(T, p[name]) in place of p[name]."""
+    polys = verify._polys
+
+    def perturbed(T, arcs, trimmed):
+        p = polys(T, arcs, trimmed)
+        return {**p, name: change(T, p[name])}
+
+    monkeypatch.setattr(verify, "_polys", perturbed)
+
+
 def test_genus2_fails_when_the_u_residual_loses_y1(monkeypatch):
     # U2 + 1 in place of U2 adds U1, whose y-free term is not divisible by y1
-    fixture_polys = verify._fixture_polys
-
-    def perturbed(g):
-        T, polys = fixture_polys(g)
-        return T, {**polys, "U2": polys["U2"] + 1}
-
-    monkeypatch.setattr(verify, "_fixture_polys", perturbed)
-    r = check_genus2()
+    _perturb_polys(monkeypatch, "U2", lambda T, p: p + 1)
+    r = check_genusg(2)
     assert (r.status, r.detail) == ("fail", "U residual is not divisible by y1")
 
 
-def test_eq1_fails_on_a_perturbed_fixture(monkeypatch):
-    fixture_polys = verify._fixture_polys
+@pytest.mark.parametrize("g", range(2, 7))
+def test_genusg_fails_with_an_extra_y_on_the_w3_term(monkeypatch, g):
+    _perturb_polys(monkeypatch, "W3", lambda T, p: p * LP.y_var(4 * g - 1, T.n_arcs))
+    r = check_genusg(g)
+    assert r.status == "fail"
+    assert r.detail.startswith(f"genus-{g} U-identity: nonzero difference")
 
-    def perturbed(g):
-        T, polys = fixture_polys(g)
+
+def test_eq1_fails_on_a_perturbed_fixture(monkeypatch):
+    genus1_polys = verify._genus1_polys
+
+    def perturbed():
+        T, polys = genus1_polys()
         return T, {**polys, "X1": polys["X1"] + 1}
 
-    monkeypatch.setattr(verify, "_fixture_polys", perturbed)
+    monkeypatch.setattr(verify, "_genus1_polys", perturbed)
     r = check_eq1()
     assert r.status == "fail"
     assert r.detail.startswith("eq (1) principal: nonzero difference")
 
 
-def test_genusg_fails_when_deriving_y_is_not_exact(monkeypatch, capsys):
-    # X1 + 1 in place of X1 makes the identity false: the first division of
-    # the derivation of Y has no exact quotient, which is a failure, not a crash
-    T, v1_arc, _ = zigzag_v_arcs(3)
-    x1_crossings = trim_to_band(build_snake(T, v1_arc)).crossings
-
-    def perturbed(B, coeffs="principal"):
-        p = expand_band(B, coeffs)
-        return p + 1 if B.crossings == x1_crossings else p
-
-    monkeypatch.setattr(verify, "expand_band", perturbed)
+def test_genusg_fails_on_a_perturbed_x1(monkeypatch, capsys):
+    # X1 + 1 in place of X1 makes the V-identity false: a failure, not a crash
+    _perturb_polys(monkeypatch, "X1", lambda T, p: p + 1)
     r = check_genusg(3)
-    assert (r.status, r.detail) == (
-        "fail", "deriving Y: Q = (V1*V2 - L) / (y12*X1 + x11) is not exact: no exact quotient"
-    )
+    assert r.status == "fail"
+    assert r.detail.startswith("genus-3 V-identity: nonzero difference")
     assert cli_main(["verify", "genus3"]) == 1
     assert "FAIL    genus3" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize(
-    "shift, detail",
-    [
-        # Y + y1: two terms
-        (lambda Y, n: LP.y_var(1, n), "derived Y is not a monomial: "),
-        # x1 in place of Y: one term, but not in the y-variables alone
-        (lambda Y, n: LP.x_var(1, n) - Y, "derived Y is not a y-monomial: x1"),
-    ],
-    ids=["two-terms", "x-monomial"],
-)
-def test_genusg_fails_when_derived_y_is_not_a_y_monomial(monkeypatch, shift, detail):
-    # X2 - x_a' * D in place of X2 makes the derived Y read Y + D
-    g = 3
-    T, _, v2_arc = zigzag_v_arcs(g)
-    n, ap = T.n_arcs, 4 * g
-    x2_crossings = trim_to_band(build_snake(T, v2_arc)).crossings
-    Y = LP.parse(check_genusg(g).detail.removeprefix("V-identity exact with Y = "), n)
-
-    def perturbed(B, coeffs="principal"):
-        p = expand_band(B, coeffs)
-        if B.crossings == x2_crossings:
-            p = p - LP.x_var(ap, n) * shift(Y, n)
-        return p
-
-    monkeypatch.setattr(verify, "expand_band", perturbed)
-    r = check_genusg(g)
-    assert r.status == "fail"
-    assert r.detail.startswith(detail)
 
 
 def test_bangle_product_singleton_arc():
@@ -503,6 +490,18 @@ def test_zigzag_arcs_are_closed_zigzags_from_the_boundary_triangle(g):
         assert len(turns) == 1
         dirs = build_snake(T, v).glue_dirs
         assert all(dirs[i] != dirs[i + 1] for i in range(len(dirs) - 1))
+    # each U and W arc of the U-identity has exactly one valid start triangle
+    _, cut = zigzag_arcs(g)
+    for name in ("U1", "U2", "W1", "W2", "W3"):
+        seq = cut[name].sequence
+        starts = []
+        for t in range(len(T.triangles)):
+            try:
+                T.triangle_walk(seq, t)
+            except SurfaceError:
+                continue
+            starts.append(t)
+        assert len(starts) == 1, (name, starts)
     assert check_genusg(g).status == "pass"
 
 
@@ -555,10 +554,11 @@ def test_crashed_case_is_reported_as_error(monkeypatch, capsys):
         "eq1", "eq2", "genus2", "mutation_oracle", "genus3", "chebyshev", "fuzz"
     ]
     status = {r.name: (r.status, r.detail) for r in reports}
-    assert status.pop("genus3") == ("error", "SnakeError: boom")
+    assert status.pop("genus2") == status.pop("genus3") == ("error", "SnakeError: boom")
     assert all(st == "pass" for st, _ in status.values())
     assert cli_main(["verify", "all"]) == 2
-    assert "ERROR   genus3" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "ERROR   genus2" in out and "ERROR   genus3" in out
 
 
 def test_fixture_construction_failure_is_an_error(monkeypatch):
