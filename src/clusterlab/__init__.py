@@ -15,7 +15,6 @@ from .algebra import (
 from .errors import ClusterlabError
 from .mutation import (
     Seed,
-    find_mutation_sequence,
     initial_seed,
     matrix_rank,
     mutate,

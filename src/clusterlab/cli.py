@@ -4,7 +4,7 @@
     clusterlab expand --surface <builtin|file.json> --arc 1,3 [--loop]
                       [--coeff principal|trivial] [--start-triangle T (arcs only)]
     clusterlab mutate --surface <...> --seq 8,9,10 --show 10
-    clusterlab surface --genus g --print
+    clusterlab surface --genus g
 
 `verify` exits 0 when every selected case passes, 1 when a case fails, and
 2 when a case errored (crashed) or the case name is unknown.
@@ -112,9 +112,7 @@ def cmd_mutate(args):
 
 
 def cmd_surface(args):
-    T = builtin_genus(args.genus)
-    if args.print:
-        print(T.to_json())
+    print(builtin_genus(args.genus).to_json())
     return 0
 
 
@@ -146,7 +144,6 @@ def main(argv=None):
 
     p = sub.add_parser("surface", help="print a builtin triangulation")
     p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--print", action="store_true")
     p.set_defaults(fn=cmd_surface)
 
     args = parser.parse_args(argv)

@@ -14,7 +14,6 @@ variable is always exact, so a division failure is a loud bug detector.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from operator import mul, neg
@@ -126,10 +125,6 @@ class Seed:
         n = self.n
         return tuple(TropicalMonomial(row[n:]) for row in self.M)
 
-    def key(self):
-        """Dedup key: the multiset of cluster-variable serializations."""
-        return tuple(sorted(p.serialize() for p in self.cluster))
-
 
 def initial_seed(B):
     """Seed with cluster (x_1..x_n) and coefficients (y_1..y_n): M = [B | I]."""
@@ -224,40 +219,6 @@ def mutate_seq(seed, ks):
     return seed
 
 
-class NotFound(MutationError):
-    """No mutation sequence reaching the target within the depth bound."""
-
-
-def find_mutation_sequence(seed, target, depth):
-    """Breadth-first search for a mutation sequence whose mutated variable
-    equals `target` exactly; ties break toward lexicographically smaller
-    sequences.  Raises NotFound past the depth bound."""
-    if type(depth) is not int:
-        raise MutationError(f"search depth {depth!r} is not an int")
-    if not 0 <= depth <= 10:
-        raise MutationError(f"search depth {depth} outside 0..10")
-    n = seed.n
-    if any(v == target for v in seed.cluster):
-        return ()
-    seen = {seed.key()}
-    queue = deque([(seed, ())])
-    while queue:
-        s, path = queue.popleft()
-        if len(path) == depth:
-            continue
-        for k in range(1, n + 1):
-            if path and path[-1] == k:
-                continue
-            s2 = mutate(s, k)
-            if s2.cluster[k - 1] == target:
-                return path + (k,)
-            key = s2.key()
-            if key not in seen:
-                seen.add(key)
-                queue.append((s2, path + (k,)))
-    raise NotFound(f"no mutation sequence of length <= {depth} reaches the target")
-
-
 __all__ = [
     "Seed",
     "initial_seed",
@@ -265,7 +226,5 @@ __all__ = [
     "mutate_seq",
     "matrix_rank",
     "matrix_mutate",
-    "find_mutation_sequence",
     "MutationError",
-    "NotFound",
 ]

@@ -23,13 +23,12 @@ from clusterlab.surface import ArcCrossing, SurfaceError, builtin_genus, builtin
 from clusterlab.verify import (
     GENUS1_ARCS,
     GENUS2_ARCS,
-    BangleSpec,
     CaseError,
-    bangle_product,
     check_chebyshev,
     check_eq1,
     check_fuzz,
     check_genusg,
+    check_mutation_oracle,
     run_cases,
     zigzag_arcs,
     zigzag_v_arcs,
@@ -50,6 +49,8 @@ def test_case_report_fields():
     r = check_eq1()
     assert r.name == "eq1" and r.status == "pass"
     assert r.elapsed_ms >= 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.name = "eq2"
     d = r.to_json_dict()
     assert set(d) == {"name", "status", "elapsed_ms", "detail"}
 
@@ -122,7 +123,7 @@ def test_genusg_below_genus_2_is_an_error():
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_chebyshev_bracelets(k):
     r = check_chebyshev(k)
-    assert (r.name, r.status) == (f"chebyshev{k}", "pass"), r.detail
+    assert (r.name, r.status) == ("chebyshev", "pass"), r.detail
 
 
 @pytest.mark.parametrize("nx, where", [(2, "annulus"), (4, "genus-1 boundary")])
@@ -223,25 +224,24 @@ def test_genusg_fails_on_a_perturbed_x1(monkeypatch, capsys):
     assert "FAIL    genus3" in capsys.readouterr().out
 
 
-def test_bangle_product_singleton_arc():
-    T = builtin_genus1()
-    spec = BangleSpec((ArcCrossing((1, 3)),))
-    assert bangle_product(T, spec) == expand(build_snake(T, ArcCrossing((1, 3))))
-
-
-def test_bangle_product_boundary_loop_is_L():
-    T = builtin_genus1()
-    loop = T.boundary_loop()
-    spec = BangleSpec((loop,))
-    assert bangle_product(T, spec) == expand_band(build_band(T, loop))
-
-
-def test_bangle_product_pair_matches_eq2_lhs():
-    T = builtin_genus1()
-    spec = BangleSpec((ArcCrossing((1, 3)), ArcCrossing((4, 2))))
-    u1 = expand(build_snake(T, ArcCrossing((1, 3))))
-    u2 = expand(build_snake(T, ArcCrossing((4, 2))))
-    assert bangle_product(T, spec) == u1 * u2
+@pytest.mark.parametrize(
+    "v1, status, detail, code",
+    [
+        # swapping the last two directions still reaches V1; the detail
+        # names the sequence that ran
+        ((8, 9, 10, 2, 1, 9, 4, 3, 6), "pass",
+         "mutate_seq(8,9,10,2,1,9,4,3,6) = V1 and mutate_seq(7,6,5,1,2,6,3,9,4) = V2", 0),
+        # without its last direction the sequence reaches another variable
+        ((8, 9, 10, 2, 1, 9, 4, 6), "fail", "mutation oracle V1: nonzero difference", 1),
+    ],
+    ids=["reordered", "truncated"],
+)
+def test_mutation_oracle_runs_the_recorded_sequences(monkeypatch, v1, status, detail, code):
+    seqs = {**verify.GENUS2_MUTATION_SEQUENCES, "V1": v1}
+    monkeypatch.setattr(verify, "GENUS2_MUTATION_SEQUENCES", seqs)
+    r = check_mutation_oracle()
+    assert r.status == status and r.detail.startswith(detail), r.detail
+    assert cli_main(["verify", "mutation_oracle"]) == code
 
 
 def test_eq2_rhs_termwise_sum_is_u1u2():
@@ -310,7 +310,7 @@ def test_cli_expand_and_mutate(capsys):
 
 
 def test_cli_surface_print(capsys):
-    assert cli_main(["surface", "--genus", "2", "--print"]) == 0
+    assert cli_main(["surface", "--genus", "2"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["n_arcs"] == 10
 
@@ -366,20 +366,36 @@ def test_python_dash_m_clusterlab_runs_the_cli():
 
 def test_typed_errors_share_one_base_class():
     from clusterlab import ClusterlabError
-    from clusterlab.algebra import ExponentOverflow, RankMismatch
+    from clusterlab.algebra import ExponentOverflow, ParseError, RankMismatch
     from clusterlab.mutation import MutationError
     from clusterlab.surface import SurfaceError
 
-    for cls in (SurfaceError, SnakeError, MutationError, RankMismatch, ExponentOverflow):
+    for cls in (SurfaceError, SnakeError, MutationError, RankMismatch, ExponentOverflow,
+                ParseError):
         assert issubclass(cls, ClusterlabError) and issubclass(cls, ValueError)
 
 
-def test_parse_and_search_errors_are_typed():
-    from clusterlab import ClusterlabError
-    from clusterlab.algebra import ParseError
-    from clusterlab.mutation import MutationError, NotFound
+def test_public_names_resolve():
+    # a name left in a module's __all__ after its definition is gone passes
+    # every other test but breaks `from module import *`
+    import ast
+    import importlib
+    import pkgutil
 
-    assert issubclass(ParseError, ClusterlabError) and issubclass(NotFound, MutationError)
+    for info in pkgutil.iter_modules(clusterlab.__path__):
+        if info.name == "__main__":
+            continue
+        # raises AttributeError on a name in __all__ that the module lacks
+        exec(f"from clusterlab.{info.name} import *", {})
+
+    # the package re-exports only names its modules list in __all__
+    tree = ast.parse(Path(clusterlab.__file__).read_text())
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"clusterlab.{node.module}")
+            for alias in node.names:
+                assert alias.name in module.__all__, (node.module, alias.name)
+                assert getattr(clusterlab, alias.name) is getattr(module, alias.name)
 
 
 @pytest.mark.parametrize(
