@@ -366,13 +366,22 @@ def test_python_dash_m_clusterlab_runs_the_cli():
 
 def test_typed_errors_share_one_base_class():
     from clusterlab import ClusterlabError
-    from clusterlab.algebra import ExponentOverflow, ParseError, RankMismatch
+    from clusterlab.algebra import ExponentOverflow, RankMismatch
     from clusterlab.mutation import MutationError
     from clusterlab.surface import SurfaceError
 
-    for cls in (SurfaceError, SnakeError, MutationError, RankMismatch, ExponentOverflow,
-                ParseError):
+    for cls in (SurfaceError, SnakeError, MutationError, RankMismatch, ExponentOverflow):
         assert issubclass(cls, ClusterlabError) and issubclass(cls, ValueError)
+
+
+def test_parse_and_search_errors_are_typed():
+    from clusterlab import ClusterlabError
+    from clusterlab.algebra import LaurentPolynomial, ParseError
+
+    assert issubclass(ParseError, ClusterlabError) and issubclass(ParseError, ValueError)
+    # malformed text reaches a caller that catches the package's base class
+    with pytest.raises(ClusterlabError):
+        LaurentPolynomial.parse("x1 +", 2)
 
 
 def test_public_names_resolve():
