@@ -32,12 +32,13 @@ polynomial, so instances are safe to share between threads.
 from __future__ import annotations
 
 import functools
+import heapq
 import json
 import re
 import struct
-from dataclasses import dataclass
 
-from .errors import ClusterlabError
+from .errors import ClusterlabError, check_ints
+from .record import Record
 
 # Recorded with benchmark runs; there is one arithmetic path, in pure Python.
 KERNEL_BACKEND = "python"
@@ -56,7 +57,7 @@ class RankMismatch(ClusterlabError):
 
 class ParseError(ClusterlabError):
     """Raised by `LaurentPolynomial.parse` on text outside the serialize()
-    grammar."""
+    grammar, and by `from_json_dict` on data not of `to_json_dict`'s shape."""
 
 
 class ExponentOverflow(ClusterlabError):
@@ -448,6 +449,10 @@ class LaurentPolynomial:
         low = pmin - qmin
         top = pmax - qmax + 2 * zero
         rem = dict(self.terms)
+        # a max-heap of remainder keys, negated; a key that left `rem` is
+        # skipped when it comes to the top
+        heap = [-k for k in rem]
+        heapq.heapify(heap)
         q = list(other.terms.items())
         qlead, qlead_c = max(q)
         qlast = min(other.terms)
@@ -455,7 +460,9 @@ class LaurentPolynomial:
         to_t = zero - qlead
         quot = {}
         while rem:
-            rlead = max(rem)
+            rlead = -heapq.heappop(heap)
+            if rlead not in rem:
+                continue
             t = rlead + to_t
             if (t - low) & (top - t) & zero != zero:
                 raise NotDivisible("no exact quotient")
@@ -475,11 +482,15 @@ class LaurentPolynomial:
             d = t - zero
             for k, qc in q:
                 kk = k + d
-                nc = rem.get(kk, 0) - c * qc
-                if nc:
-                    rem[kk] = nc
+                if kk in rem:
+                    nc = rem[kk] - c * qc
+                    if nc:
+                        rem[kk] = nc
+                    else:
+                        del rem[kk]
                 else:
-                    del rem[kk]
+                    rem[kk] = -c * qc
+                    heapq.heappush(heap, -kk)
         corners = codec.unpack(low + zero) + codec.unpack(top - zero)
         return _new(self.nx, self.ny, quot, max(map(abs, corners)))
 
@@ -569,11 +580,30 @@ class LaurentPolynomial:
 
     @classmethod
     def from_json_dict(cls, data):
-        nx, ny = data["nx"], data["ny"]
+        """The polynomial that `to_json_dict` wrote.  Data of another shape
+        raises ParseError; an exponent list of the wrong length raises
+        RankMismatch."""
+        if not isinstance(data, dict) or not {"nx", "ny", "terms"} <= data.keys():
+            raise ParseError("polynomial data must be an object with keys nx, ny, terms")
+        nx, ny, rows = data["nx"], data["ny"], data["terms"]
+        check_ints((nx, ny), "variable count", ParseError)
+        if nx < 0 or ny < 0:
+            raise ParseError(f"variable counts must be >= 0, not {nx} and {ny}")
+        if not isinstance(rows, list) or not all(
+            isinstance(t, dict) and {"coeff", "x", "y"} <= t.keys()
+            and isinstance(t["x"], list) and isinstance(t["y"], list) for t in rows
+        ):
+            raise ParseError("terms must be a list of objects with keys coeff, x, y, "
+                             "the exponents as lists")
         terms = {}
-        for t in data["terms"]:
-            key = tuple(t["x"]) + tuple(t["y"])
-            terms[key] = terms.get(key, 0) + int(t["coeff"])
+        for t in rows:
+            key = tuple(t["x"] + t["y"])
+            check_ints(key, "exponent", ParseError)
+            # the constructor checks the length of the whole vector only
+            if len(t["x"]) != nx and len(key) == nx + ny:
+                raise RankMismatch(f"exponent vector {key} has {len(t['x'])} x-exponents, not {nx}")
+            check_ints((t["coeff"],), "coefficient", ParseError)
+            terms[key] = terms.get(key, 0) + t["coeff"]
         return cls(nx, ny, terms)
 
     @classmethod
@@ -619,13 +649,15 @@ class LaurentPolynomial:
 # -- tropical semifield ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TropicalMonomial:
+class TropicalMonomial(Record):
     """An element of Trop(y_1, ..., y_m): a Laurent monomial, stored as its
     exponent vector.  Multiplication adds vectors; tropical addition takes
     the componentwise minimum."""
 
-    exps: tuple
+    __slots__ = _fields = ("exps",)
+
+    def __init__(self, exps):
+        object.__setattr__(self, "exps", exps)
 
     @classmethod
     def one(cls, m):
@@ -639,8 +671,7 @@ class TropicalMonomial:
         return all(a == 0 for a in self.exps)
 
 
-@dataclass(frozen=True)
-class SemifieldSpec:
+class SemifieldSpec(Record):
     """Coefficient semifield for specializing principal-coefficient
     expansions.
 
@@ -649,9 +680,12 @@ class SemifieldSpec:
     tropical semifield of rank `rank`; `map_y` checks the assignment's length.
     """
 
-    kind: str
-    rank: int = 0
-    assignment: tuple = ()
+    __slots__ = _fields = ("kind", "rank", "assignment")
+
+    def __init__(self, kind, rank=0, assignment=()):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "assignment", assignment)
 
     @classmethod
     def principal(cls):

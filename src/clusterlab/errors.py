@@ -1,4 +1,5 @@
-"""The common base class of clusterlab's typed errors."""
+"""The common base class of clusterlab's typed errors, and the int check
+that raises them."""
 
 
 class ClusterlabError(ValueError):
@@ -6,4 +7,12 @@ class ClusterlabError(ValueError):
     crossing sequence, an out-of-range mutation index, mismatched ranks."""
 
 
-__all__ = ["ClusterlabError"]
+def check_ints(values, what, error):
+    """Raise `error` on a value that is not an int, a bool included: dict
+    lookups would treat 1.0 and True as 1."""
+    if set(map(type, values)) - {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise error(f"{what} must be an int, not {bad!r}")
+
+
+__all__ = ["ClusterlabError", "check_ints"]

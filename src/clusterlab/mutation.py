@@ -14,7 +14,6 @@ variable is always exact, so a division failure is a loud bug detector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import mul, neg
 
@@ -26,6 +25,7 @@ from .algebra import (
     term_codec,
 )
 from .errors import ClusterlabError
+from .record import Record
 
 
 class MutationError(ClusterlabError):
@@ -99,16 +99,19 @@ def _is_skew(B):
     )
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(Record):
     """A seed with principal coefficients.
 
     M is the n x 2n extended exchange matrix [B | C] with tuple rows: row i
     is row i of the skew-symmetric B followed by the exponent vector of y_i.
+    `cluster` holds n LaurentPolynomials in the initial variables.
     """
 
-    M: tuple
-    cluster: tuple  # n LaurentPolynomials in the initial variables
+    __slots__ = _fields = ("M", "cluster")
+
+    def __init__(self, M, cluster):
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "cluster", cluster)
 
     @property
     def n(self):

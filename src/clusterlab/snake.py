@@ -87,11 +87,11 @@ from __future__ import annotations
 import functools
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import product
 
 from .algebra import LaurentPolynomial, _mul_terms, term_codec
 from .errors import ClusterlabError
+from .record import Record
 from .surface import LoopCrossing, SurfaceError, sides_after, turn
 
 
@@ -138,21 +138,25 @@ _FIRST_OWN = {(i, o): next(dr for dr in _DIRS if dr not in (i, o))
               for i in (None, "S", "W") for o in (None, "E", "N")}
 
 
-@dataclass(frozen=True)
-class Tile:
+class Tile(Record):
     """The drawing of a tile in one context, shared by every graph of one
     triangulation, and its transfer steps, made on first use (slot
-    2 * principal + band's last tile)."""
+    2 * principal + band's last tile).  Equality, hash and repr read the
+    drawing's diagonal, labels, sign and glue sides only."""
 
-    diagonal: int  # crossed arc index
-    labels: tuple  # (("S", SideRef), ("E", ...), ("N", ...), ("W", ...))
-    sign: int  # +1 orientation-preserving drawing, -1 reversed
-    diag_corners: tuple = field(compare=False, repr=False)  # corners on the diagonal
-    hor_is_a: bool = field(compare=False, repr=False)  # S, N carry sides {s12, s34}
-    entry: str | None  # incoming glue side, S or W (None: a snake's first tile)
-    exit: str | None  # outgoing glue side, E or N (None: a snake's last tile)
-    steps: list = field(init=False, compare=False, repr=False,
-                        default_factory=lambda: [None] * 4)
+    __slots__ = ("diagonal", "labels", "sign", "diag_corners", "hor_is_a", "entry", "exit", "steps")
+    _fields = ("diagonal", "labels", "sign", "entry", "exit")
+
+    def __init__(self, diagonal, labels, sign, diag_corners, hor_is_a, entry, exit):
+        set_ = object.__setattr__
+        set_(self, "diagonal", diagonal)  # crossed arc index
+        set_(self, "labels", labels)  # (("S", SideRef), ("E", ...), ("N", ...), ("W", ...))
+        set_(self, "sign", sign)  # +1 orientation-preserving drawing, -1 reversed
+        set_(self, "diag_corners", diag_corners)  # corners on the diagonal
+        set_(self, "hor_is_a", hor_is_a)  # S, N carry sides {s12, s34}
+        set_(self, "entry", entry)  # incoming glue side, S or W (None: a snake's first tile)
+        set_(self, "exit", exit)  # outgoing glue side, E or N (None: a snake's last tile)
+        set_(self, "steps", [None] * 4)
 
 
 class _Edge:

@@ -12,26 +12,33 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 
-from .errors import ClusterlabError
+from .errors import ClusterlabError, check_ints
+from .record import Record
 
 
 class SurfaceError(ClusterlabError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class SideRef:
-    """A triangle side: an arc ("A", 1..n) or a boundary segment ("B", 1..b)."""
+@functools.total_ordering
+class SideRef(Record):
+    """A triangle side: an arc ("A", 1..n) or a boundary segment ("B", 1..b).
+    Sides order by (kind, index)."""
 
-    kind: str
-    index: int
+    __slots__ = _fields = ("kind", "index")
 
-    def __post_init__(self):
-        _check_ints((self.index,), "side index")
-        if self.kind not in ("A", "B") or self.index < 1:
-            raise SurfaceError(f"bad side {self.kind}{self.index}")
+    def __init__(self, kind, index):
+        check_ints((index,), "side index", SurfaceError)
+        if kind not in ("A", "B") or index < 1:
+            raise SurfaceError(f"bad side {kind}{index}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) < self._key(other)
+        return NotImplemented
 
     @property
     def is_arc(self):
@@ -46,14 +53,6 @@ class SideRef:
         if text and text[0] in "AB" and text[1:].isdigit():
             return cls(text[0], int(text[1:]))
         raise SurfaceError(f"cannot parse side {text!r}")
-
-
-def _check_ints(values, what):
-    """Reject non-int indices, a bool included: dict lookups would treat 1.0
-    and True as 1."""
-    if set(map(type, values)) - {int}:
-        bad = next(v for v in values if type(v) is not int)
-        raise SurfaceError(f"{what} must be an int, not {bad!r}")
 
 
 def _sides_text(sides):
@@ -91,31 +90,29 @@ def turn(tri, entry, exit_):
     raise SurfaceError(f"triangle {_sides_text(tri)} does not link arcs {entry} -> {exit_}")
 
 
-@dataclass(frozen=True)
-class ArcCrossing:
+class ArcCrossing(Record):
     """Ordered list of arc indices crossed by an arc, plus (optionally) the
     index of the triangle the arc starts in, which disambiguates crossing
     sequences whose consecutive arcs share two triangles."""
 
-    sequence: tuple
-    start_triangle: int | None = None
+    __slots__ = _fields = ("sequence", "start_triangle")
 
-    def __post_init__(self):
-        object.__setattr__(self, "sequence", tuple(self.sequence))
+    def __init__(self, sequence, start_triangle=None):
+        object.__setattr__(self, "sequence", tuple(sequence))
+        object.__setattr__(self, "start_triangle", start_triangle)
 
 
-@dataclass(frozen=True)
-class LoopCrossing:
+class LoopCrossing(Record):
     """Nonempty cyclic list of arc indices crossed by an essential loop.
     Rotation-equivalent sequences are identified by canonical rotation."""
 
-    cyclic_sequence: tuple
+    __slots__ = _fields = ("cyclic_sequence",)
 
-    def __post_init__(self):
-        seq = tuple(self.cyclic_sequence)
+    def __init__(self, cyclic_sequence):
+        seq = tuple(cyclic_sequence)
         if not seq:
             raise SurfaceError("empty loop crossing sequence")
-        _check_ints(seq, "crossed arc")
+        check_ints(seq, "crossed arc", SurfaceError)
         rotations = [seq[i:] + seq[:i] for i in range(len(seq))]
         object.__setattr__(self, "cyclic_sequence", min(rotations))
 
@@ -124,23 +121,20 @@ class LoopCrossing:
 
     def repeated(self, k):
         """The k-fold wrap of this loop (bracelet crossing sequence)."""
-        _check_ints((k,), "repeat count")
+        check_ints((k,), "repeat count", SurfaceError)
         if k < 1:
             raise SurfaceError(f"repeat count must be >= 1, not {k}")
         return LoopCrossing(self.cyclic_sequence * k)
 
 
-@dataclass(frozen=True)
-class Triangulation:
-    genus: int
-    n_arcs: int
-    n_boundary: int
-    n_marked: int
-    triangles: tuple
+class Triangulation(Record):
+    # no __slots__: the cached properties below live in the instance __dict__
+    _fields = ("genus", "n_arcs", "n_boundary", "n_marked", "triangles")
 
-    def __post_init__(self):
-        tris = tuple(tuple(s if isinstance(s, SideRef) else SideRef.parse(s) for s in t) for t in self.triangles)
-        object.__setattr__(self, "triangles", tris)
+    def __init__(self, genus, n_arcs, n_boundary, n_marked, triangles):
+        tris = tuple(tuple(s if isinstance(s, SideRef) else SideRef.parse(s) for s in t) for t in triangles)
+        self.__dict__.update(genus=genus, n_arcs=n_arcs, n_boundary=n_boundary,
+                             n_marked=n_marked, triangles=tris)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -315,14 +309,14 @@ class Triangulation:
         d = len(crossings)
         if not d:
             raise SurfaceError("empty crossing sequence")
-        _check_ints(crossings, "crossed arc")
+        check_ints(crossings, "crossed arc", SurfaceError)
         pairs = zip(crossings, crossings[1:] + crossings[:1] if loop else crossings[1:])
         if any(a == b for a, b in pairs):
             raise SurfaceError(
                 "consecutive crossings of the same arc would need a self-folded triangle"
             )
         if start_triangle is not None:
-            _check_ints((start_triangle,), "start triangle")
+            check_ints((start_triangle,), "start triangle", SurfaceError)
             if not 0 <= start_triangle < len(self.triangles):
                 raise SurfaceError(
                     f"start triangle {start_triangle} out of range 0..{len(self.triangles) - 1}"
@@ -413,7 +407,7 @@ class Triangulation:
         if not isinstance(data, dict) or not set(keys) <= set(data):
             raise SurfaceError(f"surface data must be an object with keys {', '.join(keys)}")
         for k in keys[:-1]:
-            _check_ints((data[k],), k)
+            check_ints((data[k],), k, SurfaceError)
         tris = data["triangles"]
         if not isinstance(tris, list) or not all(isinstance(t, list) for t in tris):
             raise SurfaceError("triangles must be a list of side lists")
@@ -448,7 +442,7 @@ def builtin_genus(g):
     orientation was validated against the Laurent-polynomial identities for
     g = 1 and, in closed form, for g >= 2 (`verify.check_genusg`).
     """
-    _check_ints((g,), "genus")
+    check_ints((g,), "genus", SurfaceError)
     if g < 1:
         raise SurfaceError("genus must be >= 1")
     d = [arc(2 + i) for i in range(1, 2 * g - 1)]

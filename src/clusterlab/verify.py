@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 
 from .algebra import LaurentPolynomial, chebyshev
 from .errors import ClusterlabError
 from .mutation import initial_seed, mutate, mutate_seq
+from .record import Record
 from .snake import build_band, build_snake, expand, expand_band, trim_to_band
 from .surface import (
     ArcCrossing,
@@ -26,12 +26,17 @@ from .surface import (
 )
 
 
-@dataclass(frozen=True)
-class CaseReport:
-    name: str
-    status: str  # "pass" | "fail" | "error" (the case crashed or cannot run)
-    detail: str = ""
-    elapsed_ms: float = 0.0
+class CaseReport(Record):
+    """The outcome of one case: `status` is "pass", "fail" or "error" (the
+    case crashed or cannot run)."""
+
+    __slots__ = _fields = ("name", "status", "detail", "elapsed_ms")
+
+    def __init__(self, name, status, detail="", elapsed_ms=0.0):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "elapsed_ms", elapsed_ms)
 
     @property
     def ok(self):

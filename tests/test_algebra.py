@@ -263,6 +263,37 @@ def test_serialize_roundtrip_json():
         assert LP.from_json(p.to_json()) == p
 
 
+_TERM = {"coeff": 3, "x": [1, 0], "y": [0, 2]}
+
+
+@pytest.mark.parametrize(
+    "data, error, message",
+    [
+        ({"nx": 2, "ny": 2, "terms": [_TERM | {"coeff": 1.5}]}, ParseError,
+         "coefficient must be an int, not 1.5"),
+        ({"nx": 2, "ny": 2, "terms": [_TERM | {"coeff": "3"}]}, ParseError,
+         "coefficient must be an int, not '3'"),
+        # x3's exponent must not become y1's
+        ({"nx": 2, "ny": 2, "terms": [_TERM | {"x": [1, 2, 3], "y": [4]}]}, RankMismatch,
+         r"exponent vector \(1, 2, 3, 4\) has 3 x-exponents, not 2"),
+        ({"nx": -1, "ny": 5, "terms": [_TERM]}, ParseError, "variable counts must be >= 0"),
+        ({"nx": 2, "ny": 2, "terms": [_TERM | {"x": [True, 0]}]}, ParseError,
+         "exponent must be an int, not True"),
+        ({"nx": 2, "ny": 2, "terms": [_TERM | {"y": [0, 1.5]}]}, ParseError,
+         "exponent must be an int, not 1.5"),
+        ({"nx": 2}, ParseError, "keys nx, ny, terms"),
+        ([1], ParseError, "keys nx, ny, terms"),
+        ({"nx": 2, "ny": 2, "terms": 5}, ParseError, "terms must be a list"),
+    ],
+    ids=["float-coeff", "str-coeff", "x-spills-into-y", "negative-nx", "bool-exponent",
+         "float-exponent", "missing-keys", "not-an-object", "terms-not-a-list"],
+)
+def test_from_json_dict_rejects_malformed_data(data, error, message):
+    assert LP.from_json_dict({"nx": 2, "ny": 2, "terms": [_TERM]}).serialize() == "3*x1*y2^2"
+    with pytest.raises(error, match=message):
+        LP.from_json_dict(data)
+
+
 def test_hash_consistency():
     p = x(1) + x(2)
     q = x(2) + x(1)

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 from collections import Counter, defaultdict
@@ -12,6 +11,7 @@ from clusterlab.snake import (
     _EDGE_CORNERS,
     MatchingGraph,
     SnakeError,
+    Tile,
     all_matchings_bruteforce,
     build_band,
     build_snake,
@@ -196,7 +196,7 @@ def test_glue_and_wrap_label_mismatches_raise_at_build():
     def relabel_last(G, direction):
         t = G.tiles[-1]
         labels = tuple((dr, boundary(9) if dr == direction else s) for dr, s in t.labels)
-        return G.tiles[:-1] + [dataclasses.replace(t, labels=labels)]
+        return G.tiles[:-1] + [Tile(t.diagonal, labels, t.sign, t.diag_corners, t.hor_is_a, t.entry, t.exit)]
 
     assert S.glue_dirs[-1] == "E" and B.wrap == ("W", "E")
     with pytest.raises(SnakeError, match="sides E of tile 3 and W of tile 4 differ: A2 vs B9"):
@@ -660,9 +660,10 @@ def test_triangulations_never_share_table_entries():
     bracelet = build_band(T1, loop.repeated(3)).tiles
     assert len(bracelet) == 3 * len(loop)
     assert all(t is bracelet[j % len(loop)] for j, t in enumerate(bracelet))
-    # a tile made by `dataclasses.replace` starts with empty step slots
-    assert any(S2.tiles[0].steps)
-    assert dataclasses.replace(S2.tiles[0]).steps == [None] * 4
+    # a tile made from another's fields starts with empty step slots
+    t = S2.tiles[0]
+    assert any(t.steps)
+    assert Tile(t.diagonal, t.labels, t.sign, t.diag_corners, t.hor_is_a, t.entry, t.exit).steps == [None] * 4
 
 
 _OFFSETS = {"SW": (0, 0), "SE": (1, 0), "NE": (1, 1), "NW": (0, 1)}

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -11,6 +10,7 @@ import clusterlab
 from clusterlab import verify
 from clusterlab.algebra import LaurentPolynomial as LP
 from clusterlab.cli import main as cli_main
+from clusterlab.mutation import Seed
 from clusterlab.snake import (
     SnakeError,
     build_band,
@@ -49,7 +49,7 @@ def test_case_report_fields():
     r = check_eq1()
     assert r.name == "eq1" and r.status == "pass"
     assert r.elapsed_ms >= 0
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         r.name = "eq2"
     d = r.to_json_dict()
     assert set(d) == {"name", "status", "elapsed_ms", "detail"}
@@ -147,7 +147,7 @@ def test_fuzz_fails_on_a_mixed_sign_c_vector(monkeypatch):
     def mixed(seed, seq):
         n = seed.n
         row = seed.M[0][:n] + (1, -1) + (0,) * (n - 2)
-        return dataclasses.replace(seed, M=(row,) + seed.M[1:])
+        return Seed((row,) + seed.M[1:], seed.cluster)
 
     monkeypatch.setattr(verify, "mutate_seq", mixed)
     r = check_fuzz(trials=2, max_len=3, seed=0)
@@ -160,10 +160,10 @@ def test_fuzz_fails_on_a_mixed_sign_c_vector(monkeypatch):
     [
         # mutate_seq returns a seed whose x1 is negated
         ("mutate_seq",
-         lambda s, seq: dataclasses.replace(s, cluster=(-s.cluster[0],) + s.cluster[1:]),
+         lambda s, seq: Seed(s.M, (-s.cluster[0],) + s.cluster[1:]),
          "negative coefficient after sequence"),
         # a "mutation" that rotates the cluster is not an involution
-        ("mutate", lambda s, k: dataclasses.replace(s, cluster=s.cluster[1:] + s.cluster[:1]),
+        ("mutate", lambda s, k: Seed(s.M, s.cluster[1:] + s.cluster[:1]),
          "involution failed after"),
     ],
     ids=["negative-coefficient", "involution"],
