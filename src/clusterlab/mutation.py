@@ -14,16 +14,9 @@ variable is always exact, so a division failure is a loud bug detector.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import mul, neg
+from operator import neg
 
-from .algebra import (
-    LaurentPolynomial,
-    NotDivisible,
-    TropicalMonomial,
-    _add_into,
-    term_codec,
-)
+from .algebra import LaurentPolynomial, NotDivisible, TropicalMonomial, _mul_terms, term_codec
 from .errors import ClusterlabError
 from .record import Record
 
@@ -155,7 +148,9 @@ def mutate(seed, k):
     Each side of the relation is one packed key offset times the product of
     its multi-term factors.  The offset holds the y-monomial and every
     factor x_i^|b_ik| whose x_i is a single term with coefficient 1, as
-    (key - zero) * |b_ik|; the product is shifted by it once.  A side's
+    (key - zero) * |b_ik|.  The product is built with _mul_terms from
+    {zero: 1}; one more _mul_terms call shifts it by the offset, folded
+    into its zero, and the second side is summed into the first.  A side's
     exponent bound is the sum of |b_ik| * bound(x_i) plus its largest
     y-exponent, the bound the factor-by-factor product would carry.  The
     relation is then divided by x_k with div_exact.
@@ -176,7 +171,7 @@ def mutate(seed, k):
     # positive and negative parts are y_k / (y_k (+) 1) and 1 / (y_k (+) 1).
     zero = term_codec(2 * n).zero
     offsets, bounds = [0, 0], [0, 0]  # key offset and exponent bound per side
-    factors = ([], [])  # x_i^|b_ik| for the multi-term x_i of each side
+    prods = [{zero: 1}, {zero: 1}]  # product of x_i^|b_ik| over the multi-term x_i per side
     for e, unit in zip(row[n:], term_codec(2 * n).units[n:]):
         if e:
             side = e < 0
@@ -197,13 +192,10 @@ def mutate(seed, k):
             if c == 1:
                 offsets[side] += (key - zero) * e
                 continue
-        factors[side].append(xi ** e)
+        prods[side] = _mul_terms(prods[side], (xi ** e).terms, zero)
 
-    pos, neg = [
-        reduce(mul, side_factors).terms if side_factors else {zero: 1} for side_factors in factors
-    ]
-    relation = {key + offsets[0]: c for key, c in pos.items()}
-    _add_into(relation, {key + offsets[1]: c for key, c in neg.items()}.items())
+    relation = _mul_terms(prods[0], {zero: 1}, zero - offsets[0])
+    _mul_terms(prods[1], {zero: 1}, zero - offsets[1], relation)
     rhs = LaurentPolynomial.from_packed(n, n, relation, max(bounds))
     try:
         new_var = rhs.div_exact(cluster[kk])

@@ -130,7 +130,8 @@ def _mutate_as_reference(seed, k):
 
 # the kinds of exchange that the reference comparisons must reach
 EXCHANGE_KINDS = {"monomial leaving", "multi-term leaving", "c_k > 0", "c_k < 0",
-                  "|b_ik| = 2 on a monomial", "|b_ik| = 2 on a multi-term x_i"}
+                  "|b_ik| = 2 on a monomial", "|b_ik| = 2 on a multi-term x_i",
+                  "multi-term factors on both sides", "two multi-term factors on one side"}
 
 
 def _exchange_kinds(seed, k):
@@ -141,9 +142,16 @@ def _exchange_kinds(seed, k):
         kinds.add("c_k > 0")
     if min(row[n:]) < 0:
         kinds.add("c_k < 0")
+    multi_term = [0, 0]  # multi-term factors on the b_ik > 0 and b_ik < 0 sides
     for bik, xi in zip(row, seed.cluster):
         if abs(bik) == 2:
             kinds.add("|b_ik| = 2 on a " + ("monomial" if xi.is_monomial() else "multi-term x_i"))
+        if bik and not xi.is_monomial():
+            multi_term[bik < 0] += 1
+    if min(multi_term):
+        kinds.add("multi-term factors on both sides")
+    if max(multi_term) > 1:
+        kinds.add("two multi-term factors on one side")
     return kinds
 
 
