@@ -27,10 +27,10 @@ it, the previous, current and next crossings (None past a snake's ends) and
 the direction the previous tile was left in.  `Triangulation.tile_contexts`
 maps each context to its `Tile`, which every graph of that triangulation
 shares, together with the transfer steps (see Matchings) that the first
-expansion to need them fills in.  A graph's own layout is its tile list;
-contexts first drawn by a build join the table only once the graph passes
-its checks.  The 25,152 tiles of the genus-2 arcs of length at most 8 have
-278 contexts.
+expansion to need them fills in.  A graph is made from its triangulation,
+triangle walk and tiles alone, whose diagonals are its crossings; contexts
+first drawn by a build join the table only once the graph passes its checks.
+The 25,152 tiles of the genus-2 arcs of length at most 8 have 278 contexts.
 
 Matchings.  The expansion is a transfer program with one step per tile of a
 snake or of one drawing period of a band, and it reads only the layout:
@@ -226,27 +226,27 @@ def _lay_out(T, crossings, walk, loop, new):
 
 
 class MatchingGraph:
-    """A snake graph (`wrap` is None) or a band graph (`wrap` names the
-    glued sides of the first and last tiles).  The expansion reads only the
-    tile layout."""
+    """A snake or band graph, stated by its triangle walk and tiles alone:
+    `crossings` are the tile diagonals, and `wrap` is None for a snake, whose
+    first tile has no incoming side, or a band's glued sides ("W", "E") of
+    its first and last tiles.  The expansion reads only the tile layout."""
 
     # The oracles' edge tables, set by `_build` when one is first read.
-    _TABLES = {"edges", "tile_edges", "vertices", "hor_mask", "ver_mask", "up_from_hor",
-               "edge_weight", "_edge_vmask"}
+    _TABLES = {"edges", "tile_edges", "vertices", "hor_mask", "ver_mask", "edge_weight",
+               "_edge_vmask"}
 
-    def __init__(self, T, crossings, walk, tiles, wrap=None):
+    def __init__(self, T, walk, tiles):
         self.triangulation = T
         self.n_arcs = T.n_arcs
-        self.crossings = tuple(crossings)
         self.walk = tuple(walk)
         self.tiles = tiles  # list of Tile
         # glue_dirs[j] joins tile j to tile j+1; a band's wrap is not included
         self.glue_dirs = tuple(t.exit for t in tiles[:-1])
-        self.wrap = wrap  # None or (first_dir, last_dir)
+        self.wrap = None if tiles[0].entry is None else (tiles[0].entry, tiles[-1].exit)
         self._minimal = None
         # each glue side, and a band's wrap, carries one label on both tiles
         d = len(tiles)
-        for j in range(d if wrap else d - 1):
+        for j in range(d if self.wrap else d - 1):
             t, u = tiles[j], tiles[(j + 1) % d]
             a, b = t.labels[_SLOT[t.exit]][1], u.labels[_SLOT[u.entry]][1]
             if a != b:
@@ -260,6 +260,10 @@ class MatchingGraph:
         return self.__dict__[name]
 
     # -- construction ------------------------------------------------------
+
+    @functools.cached_property
+    def crossings(self):
+        return tuple(t.diagonal for t in self.tiles)
 
     @functools.cached_property
     def grid(self):
@@ -349,7 +353,6 @@ class MatchingGraph:
             vertices=list(vertex_index),
             hor_mask=[(1 << te["S"]) | (1 << te["N"]) for te in tile_edges],
             ver_mask=[(1 << te["E"]) | (1 << te["W"]) for te in tile_edges],
-            up_from_hor=[not t.hor_is_a for t in self.tiles],
             edge_weight=[e.label.index if e.label.is_arc else 0 for e in edges],
             _edge_vmask=[sum(1 << vertex_index[v] for v in e.vertices) for e in edges],
         )
@@ -379,12 +382,11 @@ class MatchingGraph:
         the verification suite.
         """
         out = []
-        for jj in range(len(self.tiles)):
-            h, v = self.hor_mask[jj], self.ver_mask[jj]
+        for jj, (t, h, v) in enumerate(zip(self.tiles, self.hor_mask, self.ver_mask)):
             if mask & h == h:
-                out.append((jj, mask ^ (h | v), self.up_from_hor[jj]))
+                out.append((jj, mask ^ (h | v), not t.hor_is_a))
             elif mask & v == v:
-                out.append((jj, mask ^ (h | v), not self.up_from_hor[jj]))
+                out.append((jj, mask ^ (h | v), t.hor_is_a))
         return out
 
     # -- enumeration ----------------------------------------------------------
@@ -479,12 +481,12 @@ class MatchingGraph:
         return tuple(xe)
 
 
-def _graph(T, seq, walk, wrap=None):
-    """Lay out and check a graph.  The tile contexts it drew first join
-    `T.tile_contexts` only once every check passed, so a failed build
-    leaves no entry behind."""
+def _graph(T, seq, walk, loop=False):
+    """Lay out and check a snake graph, or a band graph if `loop`.  The tile
+    contexts it drew first join `T.tile_contexts` only once every check
+    passed, so a failed build leaves no entry behind."""
     new = {}
-    G = MatchingGraph(T, seq, walk, _lay_out(T, seq, walk, wrap is not None, new), wrap)
+    G = MatchingGraph(T, walk, _lay_out(T, seq, walk, loop, new))
     T.tile_contexts.update(new)
     return G
 
@@ -504,10 +506,8 @@ def build_band(T, loop, start_triangle=None):
     try:
         walk = T.triangle_walk(seq, start_triangle, loop=True)
     except SurfaceError as exc:
-        raise SnakeError(
-            f"loop {seq} does not validate against the triangulation"
-        ) from exc
-    return _graph(T, seq, walk, ("W", "E"))
+        raise SnakeError(f"loop {seq} does not validate against the triangulation") from exc
+    return _graph(T, seq, walk, loop=True)
 
 
 def trim_to_band(S):
@@ -521,9 +521,7 @@ def trim_to_band(S):
     inner = seq[1:-1]
     lc = LoopCrossing(inner)
     # canonical rotation may shift the sequence; shift the start triangle too
-    r = next(
-        r for r in range(len(inner)) if inner[r:] + inner[:r] == lc.cyclic_sequence
-    )
+    r = next(r for r in range(len(inner)) if inner[r:] + inner[:r] == lc.cyclic_sequence)
     return build_band(S.triangulation, lc, start_triangle=S.walk[1 + r])
 
 

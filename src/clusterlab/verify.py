@@ -87,8 +87,15 @@ def _y(n, *pairs):
     return LaurentPolynomial.y_monomial(n, n, e)
 
 
-def _x(i, n):
-    return LaurentPolynomial.x_var(i, n)
+def _v_rhs(g, n, p, X2):
+    """(L + y_a (y_a' X1 + x_a)(X2 + Y x_a'), Y): the right side of the
+    genus-g V-identity from p["L"] and p["X1"], with a, a' and Y as in
+    `check_genusg`.  At g = 1 it is eq (1)'s, with Y = y1 y2 y3 and X2 = X1."""
+    a, ap = 4 * g - 1, 4 * g
+    odd = (*range(2 * g + 1, a - 1, 2), *range(ap + 1, 6 * g - 2, 2))
+    Y = _y(n, *((i, 1) for i in (*range(1, ap), *odd)))
+    x = LaurentPolynomial.x_var
+    return p["L"] + _y(n, (a, 1)) * ((_y(n, (ap, 1)) * p["X1"] + x(a, n)) * (X2 + Y * x(ap, n))), Y
 
 
 # -- fixtures ---------------------------------------------------------------
@@ -194,15 +201,12 @@ def zigzag_arcs(g):
 
 def check_eq1():
     """V1 V2 = L + y3 (y4 X1 + x3)(X1 + y1 y2 y3 x4) on the genus-1 surface,
-    with principal coefficients and under the trivial specialization."""
+    with principal coefficients and under the trivial specialization: the
+    genus-g V-identity's right side at g = 1, with X2 = X1."""
 
     def body():
         T, p = _genus1_polys()
-        n = T.n_arcs
-        rhs = p["L"] + _y(n, (3, 1)) * (
-            (_y(n, (4, 1)) * p["X1"] + _x(3, n))
-            * (p["X1"] + _y(n, (1, 1), (2, 1), (3, 1)) * _x(4, n))
-        )
+        rhs, _ = _v_rhs(1, T.n_arcs, p, p["X1"])
         lhs = p["V1"] * p["V2"]
         _assert_zero(lhs - rhs, "eq (1) principal")
         _assert_zero(lhs.set_y_one() - rhs.set_y_one(), "eq (1) trivial")
@@ -216,13 +220,13 @@ def check_eq2():
 
     def body():
         T, p = _genus1_polys()
-        n = T.n_arcs
+        n, x = T.n_arcs, LaurentPolynomial.x_var
         rhs = (
             _y(n, (1, 1)) * p["W1"]
-            + _x(3, n)
+            + x(3, n)
             + _y(n, (4, 1)) * p["X1"]
-            + _y(n, (1, 1), (2, 1), (3, 1), (4, 1)) * _x(4, n)
-            + _y(n, (1, 1), (3, 1)) * _x(1, n) * _x(2, n)
+            + _y(n, (1, 1), (2, 1), (3, 1), (4, 1)) * x(4, n)
+            + _y(n, (1, 1), (3, 1)) * x(1, n) * x(2, n)
         )
         lhs = p["U1"] * p["U2"]
         _assert_zero(lhs - rhs, "eq (2) principal")
@@ -264,23 +268,19 @@ def check_genusg(g=3):
 
     def body():
         T, arcs = zigzag_arcs(g)
-        n = T.n_arcs
+        n, x = T.n_arcs, LaurentPolynomial.x_var
         p = _polys(T, arcs, ("V1", "V2"))
-        a, ap = 4 * g - 1, 4 * g
-        odd = (*range(2 * g + 1, a - 1, 2), *range(ap + 1, 6 * g - 2, 2))
-        Y = _y(n, *((i, 1) for i in (*range(1, ap), *odd)))
-        rhs_v = p["L"] + _y(n, (a, 1)) * (
-            (_y(n, (ap, 1)) * p["X1"] + _x(a, n)) * (p["X2"] + Y * _x(ap, n))
-        )
+        rhs_v, Y = _v_rhs(g, n, p, p["X2"])
         _assert_zero(p["V1"] * p["V2"] - rhs_v, f"genus-{g} V-identity")
 
-        residual = p["U1"] * p["U2"] - _x(a, n) - _y(n, (ap, 1)) * p["X1"]
+        a, ap = 4 * g - 1, 4 * g
+        residual = p["U1"] * p["U2"] - x(a, n) - _y(n, (ap, 1)) * p["X1"]
         if not all(e[n] >= 1 for e, _ in residual.exponent_items()):
             raise _IdentityFailure("U residual is not divisible by y1")
         rhs_u = _y(n, (1, 1)) * (
             p["W1"]
             + _y(n, (ap, 1)) * p["W2"]
-            + _y(n, *((i, 1) for i in range(2 * g + 1, ap))) * _x(1, n) * p["W3"]
+            + _y(n, *((i, 1) for i in range(2 * g + 1, ap))) * x(1, n) * p["W3"]
         )
         _assert_zero(residual - rhs_u, f"genus-{g} U-identity")
         return f"V- and U-identities exact with Y = {Y.serialize()}; U residual divisible by y1"

@@ -151,6 +151,10 @@ def test_div_exact_failure():
         (x(1) + x(2) + 1).div_exact(x(1) + x(2))
     with pytest.raises(ZeroDivisionError):
         x(1).div_exact(LP.zero(2))
+    # an int divisor is the constant polynomial
+    assert (2 * x(1)).div_exact(2) == x(1)
+    with pytest.raises(NotDivisible, match="^coefficient not divisible$"):
+        x(1).div_exact(2)
 
 
 def test_f_polynomial():
@@ -178,6 +182,10 @@ def test_tropical_eval_trivial_and_errors():
         tropical_eval(y(1) + 1, SemifieldSpec.principal())
     with pytest.raises(ValueError, match="^no y-images for semifield kind 'bogus'$"):
         specialize(x(1) + y(1), SemifieldSpec("bogus"))
+    with pytest.raises(ValueError, match="^cannot specialize the zero polynomial$"):
+        specialize(LP.zero(2), SemifieldSpec.trivial())
+    with pytest.raises(ValueError, match="^cannot tropically evaluate the zero polynomial$"):
+        tropical_eval(LP.zero(2), SemifieldSpec.trivial())
 
 
 def test_tropical_eval_general_assignment():

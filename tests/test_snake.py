@@ -200,14 +200,31 @@ def test_glue_and_wrap_label_mismatches_raise_at_build():
 
     assert S.glue_dirs[-1] == "E" and B.wrap == ("W", "E")
     with pytest.raises(SnakeError, match="sides E of tile 3 and W of tile 4 differ: A2 vs B9"):
-        MatchingGraph(T, S.crossings, S.walk, relabel_last(S, "W"))
+        MatchingGraph(T, S.walk, relabel_last(S, "W"))
     with pytest.raises(SnakeError, match="glued sides E of tile 2 and W of tile 1 differ"):
-        MatchingGraph(T, B.crossings, B.walk, relabel_last(B, "E"), B.wrap)
+        MatchingGraph(T, B.walk, relabel_last(B, "E"))
+
+
+def test_a_graph_is_made_from_its_walk_and_tiles():
+    # crossings and wrap are read off the tiles, so the graph made from a
+    # graph's walk and tiles is that graph
+    T = builtin_genus1()
+    S = build_snake(T, ArcCrossing((4, 2, 1, 4)))
+    graphs = (S, trim_to_band(S), build_band(T, T.boundary_loop().repeated(2)))
+    for G, wrap in zip(graphs, (None, ("W", "E"), ("W", "E"))):
+        H = MatchingGraph(T, G.walk, G.tiles)
+        assert H.wrap == G.wrap == wrap
+        assert (H.crossings, H.glue_dirs) == (G.crossings, G.glue_dirs)
+        assert H.to_debug_json() == G.to_debug_json()
+        run = expand if wrap is None else expand_band
+        for coeffs in ("principal", "trivial"):
+            assert run(H, coeffs) == run(G, coeffs)
 
 
 def test_debug_dump_golden():
     T = builtin_genus1()
     S = build_snake(T, ArcCrossing((4, 2, 1, 4)))
+    assert not hasattr(S, "no_such_table")  # only the edge tables are built on first read
     data = json.loads(S.to_debug_json())
     assert data["kind"] == "snake"
     assert data["crossings"] == [4, 2, 1, 4]

@@ -25,6 +25,12 @@ def test_builtin_genus1_validates():
     T = builtin_genus1()
     assert T.validate() == []
     assert T.n_arcs == 4 and T.n_boundary == 1 and T.n_marked == 1
+    # a boundary segment past n_boundary is reported, not counted as B1
+    tris = tuple(tuple(boundary(2) if s == boundary(1) else s for s in t) for t in T.triangles)
+    assert Triangulation(genus=1, n_arcs=4, n_boundary=1, n_marked=1, triangles=tris).validate() == [
+        "boundary index B2 out of range",
+        "boundary segment 1 used 0 times, expected 1",
+    ]
 
 
 def test_validate_arc_used_three_times():
@@ -129,6 +135,8 @@ def test_triangle_walk_start_and_errors():
             T.triangle_walk((), loop=loop)
     with pytest.raises(SurfaceError, match="^empty crossing sequence$"):
         build_snake(T, ArcCrossing(()))  # the walk is the one emptiness check
+    with pytest.raises(SurfaceError, match="^empty loop crossing sequence$"):
+        LoopCrossing(())
     with pytest.raises(SurfaceError, match="^triangle 1 not adjacent to arc 3$"):
         T.other_triangle(3, 1)
     # an arc with one slot has no triangle across it, on every walking path
